@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-json bench-diff bench-scale clean
+.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-json bench-diff bench-scale perfbench clean
 
 # PR number stamped into the bench-json report filename.
 PR ?= 6
@@ -75,6 +75,15 @@ mutate-soak:
 # Used by the CI chaos-smoke job.
 cluster-soak:
 	$(GO) test -race -run TestClusterSoak -count=1 -v ./internal/soak/
+
+# One 30 s run of the serving benchmark (perfbench/NOTES.md): W is the
+# workload (cold-inline, ref-mutate, cluster-fanout), SEED its input seed,
+# TRACE=1 adds the per-layer replay. The result JSON is the last line.
+W ?= cold-inline
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 30 --trace $(TRACE)
 
 # Serving-layer benchmarks: cache hit vs cold solve, scheduler overhead.
 bench-serve:

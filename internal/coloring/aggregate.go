@@ -5,7 +5,6 @@ import (
 
 	"distmwis/internal/congest"
 	"distmwis/internal/graph"
-	"distmwis/internal/wire"
 )
 
 // Tree is a rooted spanning tree used for aggregation. The paper's
@@ -131,14 +130,14 @@ func (p *classAggregate) colourComplete(c int) bool {
 	return p.childDone[c] == len(p.children())
 }
 
-func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *classAggregate) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	// Absorb: child pairs move sums up; a parent message announces the
 	// winner.
-	for port, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		r := m.Reader()
 		isDown, e1 := r.ReadBool()
 		c64, e2 := r.ReadUint(uint64(p.k - 1))
 		sum, e3 := r.ReadInt(p.maxSum)
@@ -152,12 +151,12 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 		c := int(c64)
 		p.sums[c] += sum
 		p.childDone[c]++
-		_ = port
 	}
 
 	// Downward phase: forward the winner once and stop.
 	if p.winner >= 0 {
-		return p.forwardWinner(), true
+		p.forwardWinner(out)
+		return true
 	}
 
 	// Root argmax once everything arrived.
@@ -177,39 +176,32 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 				}
 			}
 			p.winner = best
-			return p.forwardWinner(), true
+			p.forwardWinner(out)
+			return true
 		}
-		return nil, false
+		return false
 	}
 
 	// Upward pipeline: send the next complete colour to the parent.
 	if next := p.sentUpTo + 1; next < p.k && p.colourComplete(next) {
 		p.sentUpTo = next
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteBool(false)
 		w.WriteUint(uint64(next), uint64(p.k-1))
 		w.WriteInt(p.sums[next], p.maxSum)
-		out := make([]*congest.Message, p.info.Degree)
-		out[p.tree.ParentPort[p.info.Index]] = congest.NewMessage(&w)
-		return out, false
+		out.Send(p.tree.ParentPort[p.info.Index], w)
 	}
-	return nil, false
+	return false
 }
 
-func (p *classAggregate) forwardWinner() []*congest.Message {
-	out := make([]*congest.Message, p.info.Degree)
-	if len(p.children()) == 0 {
-		return out
-	}
-	var w wire.Writer
+func (p *classAggregate) forwardWinner(out *congest.Outbox) {
+	w := out.Writer()
 	w.WriteBool(true)
 	w.WriteUint(uint64(p.winner), uint64(p.k-1))
 	w.WriteInt(0, p.maxSum)
-	m := congest.NewMessage(&w)
 	for _, port := range p.children() {
-		out[port] = m
+		out.Send(port, w)
 	}
-	return out
 }
 
 func (p *classAggregate) Output() any { return p.winner }

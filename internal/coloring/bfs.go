@@ -5,7 +5,6 @@ import (
 
 	"distmwis/internal/congest"
 	"distmwis/internal/graph"
-	"distmwis/internal/wire"
 )
 
 // DistributedBFSTree builds a BFS tree as a genuine CONGEST protocol: the
@@ -103,12 +102,12 @@ func (p *bfsBuild) Init(info congest.NodeInfo) {
 	p.changed = true
 }
 
-func (p *bfsBuild) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
-	for port, m := range recv {
-		if m == nil {
+func (p *bfsBuild) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		r := m.Reader()
 		id, e1 := r.ReadUint(p.info.MaxID)
 		d64, e2 := r.ReadUint(uint64(p.info.NUpper))
 		if e1 != nil || e2 != nil {
@@ -124,13 +123,14 @@ func (p *bfsBuild) Round(round int, recv []*congest.Message) ([]*congest.Message
 	}
 	done := round >= p.budget
 	if !p.changed {
-		return nil, done
+		return done
 	}
 	p.changed = false
-	var w wire.Writer
+	w := out.Writer()
 	w.WriteUint(p.rootID, p.info.MaxID)
 	w.WriteUint(uint64(p.dist), uint64(p.info.NUpper))
-	return broadcast(congest.NewMessage(&w), p.info.Degree), done
+	out.Broadcast(w)
+	return done
 }
 
 func (p *bfsBuild) Output() any {

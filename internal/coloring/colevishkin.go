@@ -97,29 +97,26 @@ func (p *coleVishkin) Init(info congest.NodeInfo) {
 }
 
 // sendColour emits the current colour on the given ports.
-func (p *coleVishkin) sendColour(ports ...int) []*congest.Message {
-	var w wire.Writer
+func (p *coleVishkin) sendColour(out *congest.Outbox, ports ...int) bool {
+	w := out.Writer()
 	w.WriteUint(p.colour, p.space-1)
-	m := congest.NewMessage(&w)
-	out := make([]*congest.Message, p.info.Degree)
 	for _, port := range ports {
-		out[port] = m
+		out.Send(port, w)
 	}
-	return out
+	return false
 }
 
-func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *coleVishkin) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if p.needSeed {
 		p.needSeed = false
-		return p.sendColour(0, 1), false
+		return p.sendColour(out, 0, 1)
 	}
 	if p.reduce > 0 {
 		// Phase 1. Round 1 just seeds the pipeline; afterwards each round
 		// consumes the predecessor's colour and emits the reduced one.
 		if round > 1 {
 			predColour := p.colour ^ 1 // fallback: pretend pred differs in bit 0
-			if m := recv[p.predPort]; m != nil {
-				r := m.Reader()
+			if r, ok := in.Reader(p.predPort); ok {
 				c, err := r.ReadUint(p.space - 1)
 				// Exact-width check rejects stale duplicates from earlier
 				// rounds (wider colour space); equality can only arise from
@@ -133,10 +130,10 @@ func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			if p.reduce == 0 {
 				p.space = 6
 				// Fall through to phase 2 seeding: announce to both sides.
-				return p.sendColour(0, 1), false
+				return p.sendColour(out, 0, 1)
 			}
 		}
-		return p.sendColour(p.succPort), false
+		return p.sendColour(out, p.succPort)
 	}
 
 	// Phase 2: three sub-phases of (hear both neighbours, recolour if mine
@@ -144,11 +141,11 @@ func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	// after the initial both-sides announcement.
 	removing := uint64(5 - p.phase2)
 	used := [6]bool{}
-	for _, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		r := m.Reader()
 		c, err := r.ReadUint(p.space - 1)
 		if err != nil || r.Remaining() != 0 {
 			continue // garbled or stale duplicate under faults: treat as missing
@@ -167,9 +164,9 @@ func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	}
 	p.phase2++
 	if p.phase2 == 3 {
-		return nil, true
+		return true
 	}
-	return p.sendColour(0, 1), false
+	return p.sendColour(out, 0, 1)
 }
 
 // applyReduction is the Cole–Vishkin step: find the lowest bit where the

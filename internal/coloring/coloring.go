@@ -23,7 +23,6 @@ import (
 	"distmwis/internal/congest"
 	"distmwis/internal/graph"
 	"distmwis/internal/protocol"
-	"distmwis/internal/wire"
 )
 
 func init() {
@@ -120,7 +119,7 @@ func (p *greedyColour) Init(info congest.NodeInfo) {
 // colourField sizes the wire field: colours < deg+1 ≤ n.
 func (p *greedyColour) colourField() uint64 { return uint64(p.info.NUpper) }
 
-func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *greedyColour) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	// Absorb everything first: finals update the palette; proposals are
 	// only meaningful on resolve rounds.
 	type prop struct {
@@ -128,11 +127,11 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 		id     uint64
 	}
 	var proposals []prop
-	for _, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		r := m.Reader()
 		isFinal, e1 := r.ReadBool()
 		c64, e2 := r.ReadUint(p.colourField())
 		id, e3 := r.ReadUint(p.info.MaxID)
@@ -152,7 +151,7 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	if round%2 == 1 { // propose round
 		if p.info.Degree == 0 {
 			p.colour = 0
-			return nil, true
+			return true
 		}
 		free := make([]int, 0, len(p.taken))
 		for c, t := range p.taken {
@@ -162,11 +161,12 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 		}
 		// deg+1 palette minus ≤ deg fixed neighbours is never empty.
 		p.proposal = free[p.info.Rand.IntN(len(free))]
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteBool(false)
 		w.WriteUint(uint64(p.proposal), p.colourField())
 		w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcast(congest.NewMessage(&w), p.info.Degree), false
+		out.Broadcast(w)
+		return false
 	}
 
 	// resolve round
@@ -181,15 +181,16 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	}
 	if !win {
 		p.proposal = -1
-		return nil, false
+		return false
 	}
 	p.colour = p.proposal
 	p.fixed = true
-	var w wire.Writer
+	w := out.Writer()
 	w.WriteBool(true)
 	w.WriteUint(uint64(p.colour), p.colourField())
 	w.WriteUint(p.info.ID, p.info.MaxID)
-	return broadcast(congest.NewMessage(&w), p.info.Degree), true
+	out.Broadcast(w)
+	return true
 }
 
 func (p *greedyColour) Output() any { return p.colour }
@@ -200,14 +201,6 @@ func (p *greedyColour) TracePhase(round int) string {
 		return "propose"
 	}
 	return "resolve"
-}
-
-func broadcast(m *congest.Message, deg int) []*congest.Message {
-	out := make([]*congest.Message, deg)
-	for i := range out {
-		out[i] = m
-	}
-	return out
 }
 
 // MISFromColoring converts a proper colouring into an MIS in NumColors+1
@@ -244,29 +237,27 @@ func (p *colourClassMIS) Init(info congest.NodeInfo) {
 	p.myColor = p.colors[info.Index]
 }
 
-func (p *colourClassMIS) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *colourClassMIS) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if p.info.Faulty {
-		return p.faultyRound(round, recv)
+		return p.faultyRound(round, in, out)
 	}
-	for _, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		joined, _ := m.Reader().ReadBool()
-		if joined {
+		if joined, _ := r.ReadBool(); joined {
 			p.dominated = true
 		}
 	}
 	if round-1 == p.myColor && !p.dominated {
 		p.joined = true
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteBool(true)
-		return broadcast(congest.NewMessage(&w), p.info.Degree), true
+		out.Broadcast(w)
+		return true
 	}
-	if p.dominated || round > p.k {
-		return nil, true
-	}
-	return nil, false
+	return p.dominated || round > p.k
 }
 
 // faultyRound is the defensive conversion used under fault injection.
@@ -281,15 +272,15 @@ func (p *colourClassMIS) Round(round int, recv []*congest.Message) ([]*congest.M
 // re-broadcast every round, the current round's messages carry all the
 // state a join decision needs — missing or garbled information always
 // means "do not join": safety is unconditional, weight degrades instead.
-func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *colourClassMIS) faultyRound(round int, in congest.Inbox, out *congest.Outbox) bool {
 	informed := true
 	blocked := false
-	for _, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			informed = false
 			continue
 		}
-		r := m.Reader()
 		nbrJoined, e1 := r.ReadBool()
 		nbrColour, e2 := r.ReadUint(uint64(p.info.NUpper))
 		nbrID, e3 := r.ReadUint(p.info.MaxID)
@@ -310,13 +301,14 @@ func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) ([]*con
 		p.joined = true
 	}
 	if round > p.k+1 {
-		return nil, true
+		return true
 	}
-	var w wire.Writer
+	w := out.Writer()
 	w.WriteBool(p.joined)
 	w.WriteUint(uint64(p.myColor+1), uint64(p.info.NUpper))
 	w.WriteUint(p.info.ID, p.info.MaxID)
-	return broadcast(congest.NewMessage(&w), p.info.Degree), false
+	out.Broadcast(w)
+	return false
 }
 
 func (p *colourClassMIS) Output() any { return p.joined }

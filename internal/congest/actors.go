@@ -13,7 +13,7 @@ type actorPool struct {
 	wg    sync.WaitGroup
 }
 
-func newActorPool(n int, step func(v, round int)) *actorPool {
+func newActorPool(n int, step func(v, round, lane int)) *actorPool {
 	p := &actorPool{
 		start: make([]chan int, n),
 		done:  make(chan struct{}, 1),
@@ -24,7 +24,7 @@ func newActorPool(n int, step func(v, round int)) *actorPool {
 		go func(v int) {
 			defer p.wg.Done()
 			for round := range p.start[v] {
-				step(v, round)
+				step(v, round, v)
 				p.done <- struct{}{}
 			}
 		}(v)
@@ -43,6 +43,9 @@ func (p *actorPool) runRound(round int) {
 		<-p.done
 	}
 }
+
+// lanes is one per actor: each node writes its own slab.
+func (p *actorPool) lanes() int { return len(p.start) }
 
 // shutdown terminates and joins all actors.
 func (p *actorPool) shutdown() {

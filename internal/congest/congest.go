@@ -58,74 +58,6 @@ const (
 // configured maximum number of rounds (and truncation was not requested).
 var ErrRoundLimit = errors.New("congest: protocol exceeded round limit")
 
-// Message is an immutable bit-accounted payload travelling over one edge in
-// one round.
-type Message struct {
-	data []byte
-	bitN int
-	// pooled marks the message as recyclable via the round-boundary batch
-	// return (see msgpool.go); free guards against double-release when one
-	// broadcast object occupies several inbox slots.
-	pooled bool
-	free   bool
-}
-
-// NewMessage freezes the contents of w into a Message. The writer can be
-// reused afterwards.
-func NewMessage(w *wire.Writer) *Message {
-	data := make([]byte, len(w.Bytes()))
-	copy(data, w.Bytes())
-	return &Message{data: data, bitN: w.Len()}
-}
-
-// NewRawMessage builds a message directly from a packed byte buffer
-// holding nbits valid bits. It copies the buffer. It exists so the fault
-// layer can construct corrupted variants of in-flight messages; protocol
-// code should use NewMessage, and callers that hand over ownership of a
-// fresh buffer should use NewMessageOwned.
-func NewRawMessage(data []byte, nbits int) *Message {
-	if nbits < 0 || nbits > 8*len(data) {
-		panic(fmt.Sprintf("congest: NewRawMessage: %d bits do not fit in %d bytes", nbits, len(data)))
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	return &Message{data: buf, bitN: nbits}
-}
-
-// NewMessageOwned wraps data without copying. The caller transfers
-// ownership: it must not read or mutate data afterwards. Together with
-// AppendData it forms the zero-copy path for in-repo layers (fault
-// injection, transports) that already build a private buffer per message;
-// external protocol code should keep using NewMessage.
-func NewMessageOwned(data []byte, nbits int) *Message {
-	if nbits < 0 || nbits > 8*len(data) {
-		panic(fmt.Sprintf("congest: NewMessageOwned: %d bits do not fit in %d bytes", nbits, len(data)))
-	}
-	return &Message{data: data, bitN: nbits}
-}
-
-// Bits returns the exact payload size in bits.
-func (m *Message) Bits() int { return m.bitN }
-
-// Data returns a copy of the packed payload bytes (Bits() of them valid).
-// The copy is defensive: a Message is immutable and may still be in
-// flight. Callers that need the bytes in a buffer they already own should
-// use AppendData instead.
-func (m *Message) Data() []byte {
-	buf := make([]byte, len(m.data))
-	copy(buf, m.data)
-	return buf
-}
-
-// AppendData appends the packed payload bytes to dst and returns the
-// extended slice. It is the zero-allocation read path: with sufficient
-// capacity in dst no new buffer is created, and unlike Data it never
-// allocates an intermediate copy.
-func (m *Message) AppendData(dst []byte) []byte { return append(dst, m.data...) }
-
-// Reader returns a fresh reader over the payload.
-func (m *Message) Reader() *wire.Reader { return wire.NewReader(m.data, m.bitN) }
-
 // NodeInfo is everything a node knows before round 1.
 type NodeInfo struct {
 	// Index is the simulator's internal node index. It exists so processes
@@ -162,12 +94,11 @@ type NodeInfo struct {
 type Process interface {
 	// Init is called once before the first round.
 	Init(info NodeInfo)
-	// Round runs one synchronous round. recv[p] is the message received on
-	// port p this round (nil if none). The returned slice assigns outgoing
-	// messages to ports: send[p] goes to port p (nil sends nothing; a short
-	// or nil slice sends nothing on the remaining ports). Returning done
-	// halts the node after its outgoing messages are delivered.
-	Round(round int, recv []*Message) (send []*Message, done bool)
+	// Round runs one synchronous round. in holds the messages received this
+	// round, at most one per port; out takes this round's sends, at most one
+	// per port. Both are valid only during the call. Returning done halts
+	// the node after its outgoing messages are delivered.
+	Round(round int, in Inbox, out *Outbox) (done bool)
 	// Output returns the node's final (or current, if truncated) output.
 	Output() any
 }
@@ -364,27 +295,24 @@ func Run(g *graph.Graph, newProcess func() Process, opts ...Option) (*Result, er
 	}
 	sim.procs = make([]Process, n)
 	sim.done = graph.NewBitset(n)
-	// Inboxes are per-node views into two flat slabs (one per round parity).
-	// Two allocations instead of 2n keeps 10M-node setup out of the
-	// allocator, and the delivery phase can clear or recycle a whole round's
-	// messages with a single linear pass over the slab.
+	// Every directed edge has one slot in each inbox table: node v's ports
+	// are slots edgeOff[v] .. edgeOff[v+1]-1. The tables are flat and
+	// pointer-free, so 10M-node setup is a handful of allocations and the
+	// collector never scans them.
+	sim.edgeOff = make([]int, n+1)
+	for v := 0; v < n; v++ {
+		sim.edgeOff[v+1] = sim.edgeOff[v] + g.Degree(v)
+	}
 	ports := 2 * g.M()
-	sim.inboxSlab = make([]*Message, ports)
-	sim.nextSlab = make([]*Message, ports)
-	sim.inbox = make([][]*Message, n)
-	sim.nextInbox = make([][]*Message, n)
-	sim.reversePort = buildReversePorts(g)
+	sim.inRefs = make([]msgRef, ports)
+	sim.nextRefs = make([]msgRef, ports)
+	sim.peer = buildPeerSlots(g, sim.edgeOff)
 	// Per-node randomness lives in two slabs as well: rand.New and
 	// rand.NewPCG both inline, so filling value slots allocates nothing
 	// beyond the two backing arrays.
 	pcgs := make([]rand.PCG, n)
 	rnds := make([]rand.Rand, n)
-	off := 0
 	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		sim.inbox[v] = sim.inboxSlab[off : off+deg : off+deg]
-		sim.nextInbox[v] = sim.nextSlab[off : off+deg : off+deg]
-		off += deg
 		proc := newProcess()
 		if cfg.reliable != nil {
 			proc = cfg.reliable.Wrap(proc)
@@ -395,7 +323,7 @@ func Run(g *graph.Graph, newProcess func() Process, opts ...Option) (*Result, er
 		sim.procs[v].Init(NodeInfo{
 			Index:     v,
 			ID:        g.ID(v),
-			Degree:    deg,
+			Degree:    g.Degree(v),
 			Weight:    g.Weight(v),
 			NUpper:    cfg.nUpper,
 			MaxID:     maxID,
@@ -418,58 +346,77 @@ type simulator struct {
 	physBandwidth int
 	procs         []Process
 	done          graph.Bitset
-	// inbox/nextInbox are per-node windows into inboxSlab/nextSlab; the
-	// pairs swap together at the end of every delivery phase.
-	inbox     [][]*Message
-	nextInbox [][]*Message
-	inboxSlab []*Message
-	nextSlab  []*Message
-	// nextPooled records whether any message delivered into nextSlab this
-	// round is pool-recyclable; inboxPooled is the same fact for inboxSlab.
-	// They let the clear pass fall back to a plain memclr when no pooled
-	// messages are in flight.
-	nextPooled  bool
-	inboxPooled bool
-	reversePort [][]int32
-	pendingDups []pendingDup
-	// freeList is recycleSlab's scratch: pooled messages marked this pass,
-	// put back into the pool only after the whole slab has been walked.
-	freeList []*Message
-	res      Result
+	// edgeOff[v] is node v's first slot in the descriptor tables; peer[i]
+	// is the slot at the far end of slot i's edge.
+	edgeOff []int
+	peer    []int32
+	// inRefs is read this round and nextRefs filled by its sends; the two
+	// swap after delivery.
+	inRefs, nextRefs []msgRef
+	// gens are the lanes' bit slabs, one generation per round parity;
+	// fault holds the fault path's copies, one per delivery parity (see
+	// message.go). readSlabs lists the slabs a round's inboxes index:
+	// the previous round's lane slabs, then fault[0] and fault[1].
+	gens      [2][]wire.Writer
+	fault     [2]wire.Writer
+	readSlabs [][]uint64
+	outs      []Outbox
+	// dups are the fault hook's duplicates arriving next round; spareDups
+	// is the previous round's list, kept for reuse.
+	dups, spareDups []pendingDup
+	res             Result
 }
 
-// pendingDup is a duplicate copy scheduled by the fault hook: the original
-// payload, re-arriving at the receiver one round after the first delivery.
+// pendingDup is a duplicate copy scheduled by the fault hook: a copy of the
+// original payload, re-arriving in slot one round after the first delivery.
 type pendingDup struct {
 	to   int
-	port int
-	m    *Message
+	slot int32
+	ref  msgRef
 }
 
-// buildReversePorts computes, for every directed edge (v, p), the port q at
-// the far end u such that u's q-th neighbour is v. Because neighbour lists
-// are sorted ascending, scanning v in ascending order means each u sees its
-// neighbours arrive in exactly port order, so a per-node cursor assigns the
-// reverse ports in one O(n + m) pass — no per-edge binary search. The table
-// itself is per-node windows over a single flat slab (two allocations).
-func buildReversePorts(g *graph.Graph) [][]int32 {
+// buildPeerSlots computes, for every directed edge (v, p), the slot of the
+// reverse edge: edgeOff[u] + q where u is v's p-th neighbour and v is u's
+// q-th. Because neighbour lists are sorted ascending, scanning v in
+// ascending order means each u sees its neighbours arrive in exactly port
+// order, so a per-node cursor assigns the reverse ports in one O(n + m)
+// pass — no per-edge binary search.
+func buildPeerSlots(g *graph.Graph, edgeOff []int) []int32 {
 	n := g.N()
-	rev := make([][]int32, n)
-	slab := make([]int32, 2*g.M())
-	off := 0
-	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		rev[v] = slab[off : off+deg : off+deg]
-		off += deg
-	}
+	peer := make([]int32, 2*g.M())
 	cur := make([]int32, n)
 	for v := 0; v < n; v++ {
 		for p, u := range g.Neighbors(v) {
-			rev[v][p] = cur[u]
+			peer[edgeOff[v]+p] = int32(edgeOff[u]) + cur[u]
 			cur[u]++
 		}
 	}
-	return rev
+	return peer
+}
+
+// beginRound points every lane's outbox at a fresh slab of this round's
+// generation and at the cleared next-inbox table, and lists the slabs this
+// round's inboxes read.
+func (s *simulator) beginRound(round int) {
+	clear(s.nextRefs)
+	cur, prev := s.gens[round&1], s.gens[(round+1)&1]
+	for i := range s.outs {
+		cur[i].Reset()
+		s.outs[i].slab = &cur[i]
+		s.outs[i].refs = s.nextRefs
+		s.readSlabs[i] = prev[i].Words()
+	}
+	k := len(s.outs)
+	s.readSlabs[k] = s.fault[0].Words()
+	s.readSlabs[k+1] = s.fault[1].Words()
+}
+
+// faultCopy copies r's payload into the fault slab of this delivery round.
+func (s *simulator) faultCopy(round int, r wire.Reader) msgRef {
+	f := &s.fault[round&1]
+	off := f.Len()
+	f.Append(r)
+	return msgRef{off: uint64(off), slab: uint32(len(s.outs) + 1 + round&1), bits: uint32(r.Remaining())}
 }
 
 func (s *simulator) run() (*Result, error) {
@@ -493,31 +440,24 @@ func (s *simulator) run() (*Result, error) {
 		s.res.ReplayedRounds = c.ReplayedRounds - relBase.ReplayedRounds
 		s.res.DeadPorts = c.DeadPorts - relBase.DeadPorts
 	}
-	outboxes := make([][]*Message, n)
 	doneNow := make([]bool, n)
 	errs := make([]error, n)
 
-	step := func(v, round int) {
+	step := func(v, round, lane int) {
 		if s.done.Get(v) {
 			return
 		}
 		if s.cfg.hook != nil && s.cfg.hook.State(round, v) != NodeUp {
 			return
 		}
-		send, fin := s.procs[v].Round(round, s.inbox[v])
-		if len(send) > s.g.Degree(v) {
-			errs[v] = fmt.Errorf("congest: node %d sent on %d ports but has degree %d", v, len(send), s.g.Degree(v))
+		lo, hi := s.edgeOff[v], s.edgeOff[v+1]
+		out := &s.outs[lane]
+		out.begin(v, s.peer[lo:hi:hi])
+		fin := s.procs[v].Round(round, Inbox{refs: s.inRefs[lo:hi:hi], slabs: s.readSlabs}, out)
+		if out.err != nil {
+			errs[v] = out.err
 			return
 		}
-		if s.physBandwidth > 0 {
-			for p, m := range send {
-				if m != nil && m.bitN > s.physBandwidth {
-					errs[v] = fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d", v, p, m.bitN, s.physBandwidth)
-					return
-				}
-			}
-		}
-		outboxes[v] = send
 		doneNow[v] = fin
 	}
 
@@ -531,6 +471,13 @@ func (s *simulator) run() (*Result, error) {
 	}
 	runner := newEngineRunner(engine, n, s.cfg.workers, step, errs)
 	defer runner.shutdown()
+	lanes := runner.lanes()
+	s.outs = make([]Outbox, lanes)
+	for i := range s.outs {
+		s.outs[i] = Outbox{id: uint32(i + 1), limit: s.physBandwidth}
+	}
+	s.gens = [2][]wire.Writer{make([]wire.Writer, lanes), make([]wire.Writer, lanes)}
+	s.readSlabs = make([][]uint64, lanes+2)
 
 	if s.cfg.hook != nil {
 		s.cfg.hook.Begin(n)
@@ -579,7 +526,6 @@ func (s *simulator) run() (*Result, error) {
 			s.res.Truncated = true
 			finishReliable()
 			s.collectOutputs()
-			s.recycleAll()
 			partial := s.res
 			return nil, &TruncationError{Limit: s.cfg.maxRounds, Partial: &partial}
 		}
@@ -589,6 +535,7 @@ func (s *simulator) run() (*Result, error) {
 			phaseT0 = time.Now()
 		}
 
+		s.beginRound(round)
 		runner.runRound(round)
 		// Every engine reports the error of the lowest-index failing node,
 		// so error selection is deterministic and engine-independent even
@@ -616,70 +563,30 @@ func (s *simulator) run() (*Result, error) {
 			phaseT0 = time.Now()
 		}
 
-		// Delivery phase: clear next inboxes, move messages. nextSlab holds
-		// the messages consumed during the *previous* round's compute phase
-		// (the slabs swapped after they were delivered), so this pass is the
-		// batched pool-return point: every surviving read happened at least
-		// one full compute phase ago. The free flag dedups broadcast fan-out
-		// (one object in many slots); when no pooled messages were delivered
-		// into this slab the whole pass degenerates to one memclr.
-		if s.nextPooled {
-			s.recycleSlab(s.nextSlab)
-			s.nextPooled = false
-		} else {
-			clear(s.nextSlab)
-		}
-		// Duplicates scheduled during the previous round's delivery arrive
-		// first, so a fresh message on the same port overwrites the copy.
-		if len(s.pendingDups) > 0 {
-			for _, d := range s.pendingDups {
-				if s.cfg.hook.State(round+1, d.to) != NodeUp {
-					continue
-				}
-				s.nextInbox[d.to][d.port] = d.m
-				s.res.FaultDuplicated++
-			}
-			s.pendingDups = s.pendingDups[:0]
-		}
+		// Delivery phase: the sends are already in the next inboxes; total
+		// them, pass them through the fault hook, and retire halted nodes.
 		roundMaxBits := 0
+		for i := range s.outs {
+			o := &s.outs[i]
+			s.res.Messages += o.msgs
+			s.res.Bits += o.bits
+			roundMaxBits = max(roundMaxBits, o.maxBits)
+			o.msgs, o.bits, o.maxBits = 0, 0, 0
+		}
+		if roundMaxBits > s.res.MaxMessageBits {
+			s.res.MaxMessageBits = roundMaxBits
+		}
+		if s.cfg.hook != nil {
+			s.deliverFaulty(round)
+		}
 		for v := 0; v < n; v++ {
-			if s.done.Get(v) {
-				continue
-			}
-			nbrs := s.g.Neighbors(v)
-			rports := s.reversePort[v]
-			for p, m := range outboxes[v] {
-				if m == nil {
-					continue
-				}
-				u := int(nbrs[p])
-				rport := int(rports[p])
-				s.res.Messages++
-				s.res.Bits += int64(m.bitN)
-				if m.bitN > roundMaxBits {
-					roundMaxBits = m.bitN
-				}
-				if s.cfg.hook != nil {
-					if m = s.deliverFaulty(round, v, u, rport, m); m == nil {
-						continue
-					}
-				}
-				s.nextPooled = s.nextPooled || m.pooled
-				s.nextInbox[u][rport] = m
-			}
-			outboxes[v] = nil
 			if doneNow[v] {
 				s.done.Set(v)
 				doneNow[v] = false
 				live--
 			}
 		}
-		if roundMaxBits > s.res.MaxMessageBits {
-			s.res.MaxMessageBits = roundMaxBits
-		}
-		s.inbox, s.nextInbox = s.nextInbox, s.inbox
-		s.inboxSlab, s.nextSlab = s.nextSlab, s.inboxSlab
-		s.inboxPooled, s.nextPooled = s.nextPooled, s.inboxPooled
+		s.inRefs, s.nextRefs = s.nextRefs, s.inRefs
 
 		if tr != nil {
 			var retransmitsNow int64
@@ -710,48 +617,75 @@ func (s *simulator) run() (*Result, error) {
 
 	finishReliable()
 	s.collectOutputs()
-	s.recycleAll()
 	out := s.res
 	return &out, nil
 }
 
-// deliverFaulty routes one message through the delivery hook. It returns
-// the (possibly rewritten) message to deliver this round, or nil if the
-// message is lost, corrupted beyond the checksum, or addressed to a node
-// that is down when it would arrive (round+1). Duplicates of the original
-// payload are queued for the following round.
-func (s *simulator) deliverFaulty(round, from, to, rport int, m *Message) *Message {
-	// A hook may retain the message beyond this round — duplicates re-arrive
-	// a round later via pendingDups, and arbitrary hooks may log payloads —
-	// so messages that cross the fault seam are withdrawn from pool
-	// recycling and left to the garbage collector.
-	m.pooled = false
-	if s.cfg.hook.State(round+1, to) != NodeUp {
-		s.res.FaultLost++
-		return nil
-	}
-	sum := wire.Checksum(m.data, m.bitN)
-	out, dup := s.cfg.hook.Deliver(round, from, to, m)
-	if dup {
-		// A duplicate re-sends the original frame; corruption (below) is
-		// per-transmission and does not propagate into the copy.
-		s.pendingDups = append(s.pendingDups, pendingDup{to: to, port: rport, m: m})
-	}
-	if out == nil {
-		s.res.FaultLost++
-		return nil
-	}
-	if out != m {
-		// The hook rewrote the payload. The bandwidth bound must be
-		// preserved exactly, and the receiver verifies the link-layer
-		// checksum: any mismatch makes the message indistinguishable from
-		// a loss.
-		if out.bitN != m.bitN || wire.Checksum(out.data, out.bitN) != sum {
-			s.res.FaultCorrupted++
-			return nil
+// deliverFaulty passes this round's messages through the delivery hook in
+// (sender, port) order, then places the duplicates scheduled last round
+// wherever no fresh message arrived on the port.
+func (s *simulator) deliverFaulty(round int) {
+	s.fault[round&1].Reset()
+	prev := s.dups
+	s.dups = s.spareDups[:0]
+	for v := 0; v < s.g.N(); v++ {
+		if s.done.Get(v) {
+			continue
+		}
+		lo := s.edgeOff[v]
+		for p, u := range s.g.Neighbors(v) {
+			slot := s.peer[lo+p]
+			if ref := s.nextRefs[slot]; ref.slab != 0 {
+				s.nextRefs[slot] = s.filter(round, v, int(u), slot, ref)
+			}
 		}
 	}
-	return out
+	for _, d := range prev {
+		if s.cfg.hook.State(round+1, d.to) != NodeUp {
+			continue
+		}
+		s.res.FaultDuplicated++
+		if s.nextRefs[d.slot].slab == 0 {
+			s.nextRefs[d.slot] = d.ref
+		}
+	}
+	s.spareDups = prev[:0]
+}
+
+// filter routes one message through the delivery hook. It returns the
+// (possibly rewritten) message to deliver this round, or the zero msgRef
+// if the message is lost, corrupted beyond the checksum, or addressed to a
+// node that is down when it would arrive (round+1). Duplicates and
+// rewrites outlive the sender's slab, so they are copied into the fault
+// slab.
+func (s *simulator) filter(round, from, to int, slot int32, ref msgRef) msgRef {
+	if s.cfg.hook.State(round+1, to) != NodeUp {
+		s.res.FaultLost++
+		return msgRef{}
+	}
+	m := wire.NewWordReader(s.gens[round&1][ref.slab-1].Words(), int(ref.off), int(ref.bits))
+	v := s.cfg.hook.Deliver(round, from, to, m)
+	if v.Dup {
+		// A duplicate re-sends the original frame; corruption (below) is
+		// per-transmission and does not propagate into the copy.
+		s.dups = append(s.dups, pendingDup{to: to, slot: slot, ref: s.faultCopy(round, m)})
+	}
+	if v.Drop {
+		s.res.FaultLost++
+		return msgRef{}
+	}
+	if v.Rewrite != nil {
+		// The bandwidth bound must be preserved exactly, and the receiver
+		// verifies the link-layer checksum: any mismatch makes the message
+		// indistinguishable from a loss.
+		r := v.Rewrite.Reader()
+		if r.Remaining() != m.Remaining() || r.Checksum() != m.Checksum() {
+			s.res.FaultCorrupted++
+			return msgRef{}
+		}
+		return s.faultCopy(round, r)
+	}
+	return ref
 }
 
 func (s *simulator) collectOutputs() {

@@ -19,29 +19,26 @@ type idExchange struct {
 
 func (p *idExchange) Init(info NodeInfo) { p.info = info }
 
-func (p *idExchange) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *idExchange) Round(round int, in Inbox, out *Outbox) bool {
 	switch round {
 	case 1:
 		var w wire.Writer
 		w.WriteUint(p.info.ID, p.info.MaxID)
-		m := NewMessage(&w)
-		out := make([]*Message, p.info.Degree)
-		for i := range out {
-			out[i] = m
-		}
-		return out, false
+		out.Broadcast(&w)
+		return false
 	default:
-		for _, m := range recv {
-			if m == nil {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok {
 				continue
 			}
-			id, err := m.Reader().ReadUint(p.info.MaxID)
+			id, err := r.ReadUint(p.info.MaxID)
 			if err != nil {
 				panic(err)
 			}
 			p.heard = append(p.heard, id)
 		}
-		return nil, true
+		return true
 	}
 }
 
@@ -89,12 +86,13 @@ type floodMax struct {
 
 func (p *floodMax) Init(info NodeInfo) { p.best = info.ID; p.info = info }
 
-func (p *floodMax) Round(round int, recv []*Message) ([]*Message, bool) {
-	for _, m := range recv {
-		if m == nil {
+func (p *floodMax) Round(round int, in Inbox, out *Outbox) bool {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		id, err := m.Reader().ReadUint(p.info.MaxID)
+		id, err := r.ReadUint(p.info.MaxID)
 		if err != nil {
 			panic(err)
 		}
@@ -103,16 +101,12 @@ func (p *floodMax) Round(round int, recv []*Message) ([]*Message, bool) {
 		}
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
-	var w wire.Writer
+	w := out.Writer()
 	w.WriteUint(p.best, p.info.MaxID)
-	m := NewMessage(&w)
-	out := make([]*Message, p.info.Degree)
-	for i := range out {
-		out[i] = m
-	}
-	return out, false
+	out.Broadcast(w)
+	return false
 }
 
 func (p *floodMax) Output() any { return p.best }
@@ -158,17 +152,13 @@ type bigTalker struct{ info NodeInfo }
 
 func (p *bigTalker) Init(info NodeInfo) { p.info = info }
 
-func (p *bigTalker) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *bigTalker) Round(round int, in Inbox, out *Outbox) bool {
 	var w wire.Writer
 	for i := 0; i < 100; i++ {
 		w.WriteBits(0xFFFF, 16) // 1600 bits, far over any log-n budget here
 	}
-	out := make([]*Message, p.info.Degree)
-	m := NewMessage(&w)
-	for i := range out {
-		out[i] = m
-	}
-	return out, true
+	out.Broadcast(&w)
+	return true
 }
 
 func (p *bigTalker) Output() any { return nil }
@@ -248,9 +238,9 @@ type coinFlipper struct {
 
 func (p *coinFlipper) Init(info NodeInfo) { p.info = info }
 
-func (p *coinFlipper) Round(int, []*Message) ([]*Message, bool) {
+func (p *coinFlipper) Round(int, Inbox, *Outbox) bool {
 	p.coin = p.info.Rand.Uint64()
-	return nil, true
+	return true
 }
 
 func (p *coinFlipper) Output() any { return p.coin }
@@ -272,9 +262,9 @@ func TestRoundLimit(t *testing.T) {
 
 type neverDone struct{}
 
-func (p *neverDone) Init(NodeInfo)                            {}
-func (p *neverDone) Round(int, []*Message) ([]*Message, bool) { return nil, false }
-func (p *neverDone) Output() any                              { return nil }
+func (p *neverDone) Init(NodeInfo)                  {}
+func (p *neverDone) Round(int, Inbox, *Outbox) bool { return false }
+func (p *neverDone) Output() any                    { return nil }
 
 func TestTooManyPortsRejected(t *testing.T) {
 	g := gen.Path(3)
@@ -288,14 +278,13 @@ type overSender struct{ info NodeInfo }
 
 func (p *overSender) Init(info NodeInfo) { p.info = info }
 
-func (p *overSender) Round(int, []*Message) ([]*Message, bool) {
+func (p *overSender) Round(_ int, _ Inbox, out *Outbox) bool {
 	var w wire.Writer
 	w.WriteBool(true)
-	out := make([]*Message, p.info.Degree+1)
-	for i := range out {
-		out[i] = NewMessage(&w)
+	for port := 0; port <= p.info.Degree; port++ {
+		out.Send(port, &w)
 	}
-	return out, true
+	return true
 }
 
 func (p *overSender) Output() any { return nil }
@@ -319,17 +308,14 @@ type stubbornSender struct{ info NodeInfo }
 
 func (p *stubbornSender) Init(info NodeInfo) { p.info = info }
 
-func (p *stubbornSender) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *stubbornSender) Round(round int, _ Inbox, out *Outbox) bool {
 	if p.info.ID == 1 {
-		return nil, true // halts immediately, will receive dropped messages
+		return true // halts immediately, will receive dropped messages
 	}
 	var w wire.Writer
 	w.WriteBool(true)
-	out := make([]*Message, p.info.Degree)
-	for i := range out {
-		out[i] = NewMessage(&w)
-	}
-	return out, round >= 4
+	out.Broadcast(&w)
+	return round >= 4
 }
 
 func (p *stubbornSender) Output() any { return nil }
@@ -355,28 +341,28 @@ type portConsistency struct {
 
 func (p *portConsistency) Init(info NodeInfo) { p.info = info; p.ok = true }
 
-func (p *portConsistency) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *portConsistency) Round(round int, in Inbox, out *Outbox) bool {
 	if round == 1 {
-		out := make([]*Message, p.info.Degree)
-		for i := range out {
-			var w wire.Writer
+		for port := range p.info.Degree {
+			w := out.Writer()
 			w.WriteUint(p.info.ID, p.info.MaxID)
-			out[i] = NewMessage(&w)
+			out.Send(port, w)
 		}
-		return out, false
+		return false
 	}
-	for port, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			p.ok = false
 			continue
 		}
-		id, _ := m.Reader().ReadUint(p.info.MaxID)
+		id, _ := r.ReadUint(p.info.MaxID)
 		wantID := p.g.ID(int(p.g.Neighbors(p.info.Index)[port]))
 		if id != wantID {
 			p.ok = false
 		}
 	}
-	return nil, true
+	return true
 }
 
 func (p *portConsistency) Output() any { return p.ok }
@@ -455,11 +441,8 @@ func (h *stubHook) State(round, v int) NodeState {
 	return NodeUp
 }
 
-func (h *stubHook) Deliver(round, from, to int, m *Message) (*Message, bool) {
-	if from == h.dropFrom {
-		return nil, false
-	}
-	return m, false
+func (h *stubHook) Deliver(round, from, to int, m wire.Reader) Verdict {
+	return Verdict{Drop: from == h.dropFrom}
 }
 
 func TestHookDropsAndCrashes(t *testing.T) {

@@ -1,6 +1,10 @@
 package congest
 
-import "fmt"
+import (
+	"fmt"
+
+	"distmwis/internal/wire"
+)
 
 // NodeState describes a node's availability in one round, as reported by a
 // DeliveryHook. A node that is not up neither executes its Round step nor
@@ -30,15 +34,29 @@ const (
 // goroutines and must be safe for concurrent use and pure (same answer for
 // the same arguments throughout a run). Deliver is called sequentially, in
 // deterministic (sender, port) order, once per sent message whose receiver
-// is up; it returns the message to deliver (nil = lost) and whether a
-// duplicate copy of the original should additionally arrive one round
-// later. A rewritten payload must keep the original bit length; the
-// simulator verifies a wire.Checksum over the payload and discards any
-// message whose checksum no longer matches (detectable corruption).
+// is up, with a reader over the payload; the payload is only valid during
+// the call. Its Verdict says whether the message is lost, whether a copy
+// of the original should additionally arrive one round later, and whether
+// a rewritten payload replaces it.
 type DeliveryHook interface {
 	Begin(n int)
 	State(round, v int) NodeState
-	Deliver(round, from, to int, m *Message) (out *Message, dup bool)
+	Deliver(round, from, to int, m wire.Reader) Verdict
+}
+
+// Verdict is a DeliveryHook's decision on one message.
+type Verdict struct {
+	// Drop loses the message.
+	Drop bool
+	// Dup additionally delivers a copy of the original payload one round
+	// later (a fresh message on the same port overwrites the copy).
+	Dup bool
+	// Rewrite, if non-nil and the message is not dropped, is delivered in
+	// place of the original. It must keep the original bit length; the
+	// simulator verifies a wire.Checksum over the payload and discards any
+	// rewrite whose checksum no longer matches (detectable corruption).
+	// The simulator copies it before Deliver's next call.
+	Rewrite *wire.Writer
 }
 
 // WithFaults installs a delivery hook (typically a *fault.Injector). When a

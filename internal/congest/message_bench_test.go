@@ -3,52 +3,56 @@ package congest
 import (
 	"testing"
 
+	"distmwis/internal/graph/gen"
 	"distmwis/internal/wire"
 )
 
-// BenchmarkMessageDelivery measures the read-modify-rebuild cycle that the
-// fault layer performs on every intercepted message. The defensive path
-// (Data + NewRawMessage) copies the payload twice per message; the
-// zero-copy path (AppendData into a fresh buffer + NewMessageOwned) copies
-// once, and AppendData into a reused scratch buffer eliminates the
-// steady-state allocation entirely. Run with -benchmem to see the
-// allocs/op difference.
-func BenchmarkMessageDelivery(b *testing.B) {
-	var w wire.Writer
-	for i := 0; i < 16; i++ {
-		w.WriteUint(uint64(i*2654435761)&0xffffffff, 1<<32)
-	}
-	m := NewMessage(&w)
-	nbits := m.Bits()
-
-	b.Run("defensive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			data := m.Data()
-			data[0] ^= 1
-			sinkMsg = NewRawMessage(data, nbits)
-		}
-	})
-	b.Run("zerocopy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			data := m.AppendData(nil)
-			data[0] ^= 1
-			sinkMsg = NewMessageOwned(data, nbits)
-		}
-	})
-	b.Run("zerocopy-reuse", func(b *testing.B) {
-		b.ReportAllocs()
-		var scratch []byte
-		for i := 0; i < b.N; i++ {
-			scratch = m.AppendData(scratch[:0])
-			scratch[0] ^= 1
-			sinkBits = len(scratch)
-		}
-	})
+// fateHook applies one fixed Verdict to every message, exercising one
+// branch of the delivery fault path per benchmark.
+type fateHook struct {
+	dup     bool
+	rewrite bool
 }
 
-var (
-	sinkMsg  *Message
-	sinkBits int
-)
+func (h *fateHook) Begin(int)                {}
+func (h *fateHook) State(int, int) NodeState { return NodeUp }
+
+func (h *fateHook) Deliver(_, _, _ int, m wire.Reader) Verdict {
+	v := Verdict{Dup: h.dup}
+	if h.rewrite {
+		// An identical copy passes the checksum, so the rewrite is
+		// delivered from the fault slab.
+		var w wire.Writer
+		w.Append(m)
+		v.Rewrite = &w
+	}
+	return v
+}
+
+// BenchmarkMessageDelivery measures a flood protocol's delivery on each
+// path through the fault seam: no hook, a hook that passes everything
+// (descriptors only), a duplicate of every message copied into the fault
+// slab, and a rewrite of every message copied in. Run with -benchmem: the
+// first two allocate nothing per message.
+func BenchmarkMessageDelivery(b *testing.B) {
+	g := gen.GNP(256, 0.05, 3)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"hook-pass", []Option{WithFaults(&fateHook{})}},
+		{"hook-dup", []Option{WithFaults(&fateHook{dup: true})}},
+		{"hook-rewrite", []Option{WithFaults(&fateHook{rewrite: true})}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			opts := append([]Option{WithEngine(EngineSequential)}, tc.opts...)
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(g, func() Process { return &floodMax{rounds: 8} }, opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

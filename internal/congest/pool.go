@@ -28,7 +28,7 @@ type poolEngine struct {
 	start   []chan int
 	done    chan struct{}
 	wg      sync.WaitGroup
-	step    func(v, round int)
+	step    func(v, round, lane int)
 	workers int
 }
 
@@ -43,7 +43,7 @@ func poolChunk(n, workers int) int {
 	return chunk
 }
 
-func newPoolEngine(n, workers int, step func(v, round int)) *poolEngine {
+func newPoolEngine(n, workers int, step func(v, round, lane int)) *poolEngine {
 	if workers < 1 {
 		workers = 1
 	}
@@ -61,7 +61,7 @@ func newPoolEngine(n, workers int, step func(v, round int)) *poolEngine {
 	for w := 0; w < workers; w++ {
 		e.start[w] = make(chan int, 1)
 		e.wg.Add(1)
-		go func(ch chan int) {
+		go func(ch chan int, lane int) {
 			defer e.wg.Done()
 			for round := range ch {
 				for {
@@ -74,12 +74,12 @@ func newPoolEngine(n, workers int, step func(v, round int)) *poolEngine {
 						hi = e.n
 					}
 					for v := lo; v < hi; v++ {
-						e.step(v, round)
+						e.step(v, round, lane)
 					}
 				}
 				e.done <- struct{}{}
 			}
-		}(e.start[w])
+		}(e.start[w], w)
 	}
 	return e
 }
@@ -96,6 +96,9 @@ func (e *poolEngine) runRound(round int) {
 		<-e.done
 	}
 }
+
+// lanes is one per worker: each worker writes its own slab.
+func (e *poolEngine) lanes() int { return e.workers }
 
 // shutdown terminates and joins all workers.
 func (e *poolEngine) shutdown() {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"distmwis/internal/graph/gen"
-	"distmwis/internal/wire"
 )
 
 // TestParallelForCoversRange checks the guided chunking visits every index
@@ -72,63 +71,54 @@ func TestParallelForSkewRebalances(t *testing.T) {
 	}
 }
 
-// poolSeqProcess broadcasts round-stamped payloads through pooled messages
-// and records every (round, value) pair heard per port. It exists to pin
-// message-pool integrity: if a recycled buffer were handed out while still
-// readable through a stale inbox slot, the recorded sequences would show a
-// value from the wrong round.
-type poolSeqProcess struct {
+// stampProcess broadcasts round-stamped payloads and records every
+// (round, value) pair heard per port. It pins slab integrity: if a lane's
+// slab were reset or overwritten while a stale inbox descriptor still
+// pointed into it, the recorded sequences would show a value from the
+// wrong round.
+type stampProcess struct {
 	info   NodeInfo
 	rounds int
-	w      wire.Writer
-	out    []*Message
 	heard  []uint64
 }
 
-func (p *poolSeqProcess) Init(info NodeInfo) {
-	p.info = info
-	p.out = make([]*Message, info.Degree)
-}
+func (p *stampProcess) Init(info NodeInfo) { p.info = info }
 
-func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
-	for _, m := range recv {
-		if m == nil {
+func (p *stampProcess) Round(round int, in Inbox, out *Outbox) bool {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		r := m.Reader()
 		rd, e1 := r.ReadUint(uint64(p.rounds))
 		id, e2 := r.ReadUint(p.info.MaxID)
 		if e1 != nil || e2 != nil {
-			panic("garbled payload from pooled message")
+			panic("garbled payload")
 		}
 		if int(rd) != round-1 {
-			panic(fmt.Sprintf("node %d round %d: payload stamped %d (stale recycled buffer?)", p.info.Index, round, rd))
+			panic(fmt.Sprintf("node %d round %d: payload stamped %d (stale slab?)", p.info.Index, round, rd))
 		}
 		p.heard = append(p.heard, id)
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
-	p.w.Reset()
-	p.w.WriteUint(uint64(round), uint64(p.rounds))
-	p.w.WriteUint(p.info.ID, p.info.MaxID)
-	m := NewPooledMessage(&p.w)
-	for i := range p.out {
-		p.out[i] = m
-	}
-	return p.out, false
+	w := out.Writer()
+	w.WriteUint(uint64(round), uint64(p.rounds))
+	w.WriteUint(p.info.ID, p.info.MaxID)
+	out.Broadcast(w)
+	return false
 }
 
-func (p *poolSeqProcess) Output() any { return p.heard }
+func (p *stampProcess) Output() any { return p.heard }
 
-// TestPooledMessagesBitIdentical runs the pooled-broadcast protocol under
+// TestSlabMessagesBitIdentical runs the stamped-broadcast protocol under
 // all three engines and checks (a) payload integrity via the in-process
-// round stamps, (b) cross-engine equality of the full received sequences,
-// and (c) equality with a NewMessage-based control run, proving pooling is
-// invisible to protocol semantics.
-func TestPooledMessagesBitIdentical(t *testing.T) {
+// round stamps and (b) cross-engine equality of the full received
+// sequences: lanes and slab generations are invisible to the protocol.
+func TestSlabMessagesBitIdentical(t *testing.T) {
 	g := gen.GNP(96, 0.07, 9)
-	newProc := func() Process { return &poolSeqProcess{rounds: 9} }
+	newProc := func() Process { return &stampProcess{rounds: 9} }
 	ref, err := Run(g, newProc, WithSeed(3), WithEngine(EngineSequential))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +140,7 @@ func TestPooledMessagesBitIdentical(t *testing.T) {
 // this kind were impossible by construction — now they must be tested).
 func TestPoolEngineManyRounds(t *testing.T) {
 	g := gen.Cycle(256)
-	res, err := Run(g, func() Process { return &poolSeqProcess{rounds: 300} },
+	res, err := Run(g, func() Process { return &stampProcess{rounds: 300} },
 		WithSeed(1), WithEngine(EnginePool), WithWorkers(6))
 	if err != nil {
 		t.Fatal(err)

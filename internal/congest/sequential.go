@@ -5,13 +5,13 @@ package congest
 // baseline the parallel engines are checked against for bit-identity.
 type sequentialEngine struct {
 	n    int
-	step func(v, round int)
+	step func(v, round, lane int)
 	errs []error
 }
 
 func (e *sequentialEngine) runRound(round int) {
 	for v := 0; v < e.n; v++ {
-		e.step(v, round)
+		e.step(v, round, 0)
 		if e.errs[v] != nil {
 			// No point stepping the remaining nodes: the round is already
 			// doomed, and stopping here makes the reported error trivially
@@ -20,5 +20,7 @@ func (e *sequentialEngine) runRound(round int) {
 		}
 	}
 }
+
+func (e *sequentialEngine) lanes() int { return 1 }
 
 func (e *sequentialEngine) shutdown() {}

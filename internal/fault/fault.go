@@ -271,47 +271,47 @@ func (inj *Injector) State(round, v int) congest.NodeState {
 // message come from a PCG stream keyed by (round, from, to), consumed in a
 // fixed order (dup, loss, corrupt), so every decision is reproducible in
 // isolation.
-func (inj *Injector) Deliver(round, from, to int, m *congest.Message) (*congest.Message, bool) {
+func (inj *Injector) Deliver(round, from, to int, m wire.Reader) congest.Verdict {
 	inj.stats.Examined++
 	s := inj.sched
 	if s.Loss == 0 && s.Dup == 0 && s.Corrupt == 0 {
-		return m, false
+		return congest.Verdict{}
 	}
 	rng := rand.New(rand.NewPCG(s.Seed, edgeKey(round, from, to)))
-	dup := s.Dup > 0 && rng.Float64() < s.Dup
-	if dup {
+	v := congest.Verdict{Dup: s.Dup > 0 && rng.Float64() < s.Dup}
+	if v.Dup {
 		inj.stats.Duplicated++
 	}
 	if s.Loss > 0 && rng.Float64() < s.Loss {
 		inj.stats.Lost++
-		return nil, dup
+		v.Drop = true
+		return v
 	}
-	if s.Corrupt > 0 && rng.Float64() < s.Corrupt && m.Bits() > 0 {
+	if s.Corrupt > 0 && rng.Float64() < s.Corrupt && m.Remaining() > 0 {
 		inj.stats.Corrupted++
-		return corruptBurst(rng, m), dup
+		v.Rewrite = corruptBurst(rng, m)
 	}
-	return m, dup
+	return v
 }
 
-// corruptBurst flips a burst of 1..wire.ChecksumBits consecutive payload
-// bits — exactly the error class a CRC-8 detects with certainty, so the
-// receiver always recognises the damage and treats the message as lost
-// rather than acting on a flipped payload.
-func corruptBurst(rng *rand.Rand, m *congest.Message) *congest.Message {
-	nbits := m.Bits()
-	// AppendData + NewMessageOwned copy the payload exactly once: the
-	// appended buffer is private to this call, mutated in place, and then
-	// handed over. (Data + NewRawMessage would copy twice per corruption.)
-	data := m.AppendData(nil)
+// corruptBurst returns a copy of the payload with a burst of
+// 1..wire.ChecksumBits consecutive bits flipped — exactly the error class
+// a CRC-8 detects with certainty, so the receiver always recognises the
+// damage and treats the message as lost rather than acting on a flipped
+// payload.
+func corruptBurst(rng *rand.Rand, m wire.Reader) *wire.Writer {
+	nbits := m.Remaining()
+	w := new(wire.Writer)
+	w.Append(m)
 	burst := 1 + rng.IntN(wire.ChecksumBits)
 	if burst > nbits {
 		burst = nbits
 	}
 	start := rng.IntN(nbits - burst + 1)
 	for i := start; i < start+burst; i++ {
-		data[i>>3] ^= 1 << uint(i&7)
+		w.FlipBit(i)
 	}
-	return congest.NewMessageOwned(data, nbits)
+	return w
 }
 
 func splitmix64(x uint64) uint64 {

@@ -28,12 +28,13 @@ func (p *floodMax) Init(info congest.NodeInfo) {
 	p.best = info.ID
 }
 
-func (p *floodMax) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
-	for _, m := range recv {
-		if m == nil {
+func (p *floodMax) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		id, err := m.Reader().ReadUint(p.info.MaxID)
+		id, err := r.ReadUint(p.info.MaxID)
 		if err != nil {
 			continue
 		}
@@ -42,16 +43,12 @@ func (p *floodMax) Round(round int, recv []*congest.Message) ([]*congest.Message
 		}
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
-	var w wire.Writer
+	w := out.Writer()
 	w.WriteUint(p.best, p.info.MaxID)
-	m := congest.NewMessage(&w)
-	out := make([]*congest.Message, p.info.Degree)
-	for i := range out {
-		out[i] = m
-	}
-	return out, false
+	out.Broadcast(w)
+	return false
 }
 
 func (p *floodMax) Output() any { return p.best }
@@ -252,20 +249,20 @@ func FuzzInjectorCorruptDetect(f *testing.F) {
 		if nbits > len(data)*8 {
 			nbits = len(data) * 8
 		}
-		m := congest.NewRawMessage(data, nbits)
+		m := wire.NewReader(data, nbits)
 		sum := wire.Checksum(data, nbits)
 		inj := NewInjector(Schedule{Seed: seed, Corrupt: 1})
-		out, dup := inj.Deliver(round, from, to, m)
-		if dup {
+		v := inj.Deliver(round, from, to, m)
+		if v.Dup {
 			t.Fatal("corrupt-only schedule requested a duplicate")
 		}
-		if out == nil {
-			t.Fatal("corrupt-only schedule dropped the message")
+		if v.Drop || v.Rewrite == nil {
+			t.Fatal("corrupt-only schedule did not corrupt the message")
 		}
-		if out.Bits() != nbits {
-			t.Fatalf("corruption changed the bit length: %d -> %d", nbits, out.Bits())
+		if v.Rewrite.Len() != nbits {
+			t.Fatalf("corruption changed the bit length: %d -> %d", nbits, v.Rewrite.Len())
 		}
-		if wire.Checksum(out.Data(), nbits) == sum {
+		if v.Rewrite.Reader().Checksum() == sum {
 			t.Fatal("flipped payload still passes the original checksum")
 		}
 	})

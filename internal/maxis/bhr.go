@@ -9,7 +9,6 @@ import (
 	"distmwis/internal/dist"
 	"distmwis/internal/graph"
 	"distmwis/internal/protocol"
-	"distmwis/internal/wire"
 )
 
 // This file ports the ultra-cheap end of the portfolio: the one-round and
@@ -76,8 +75,6 @@ type bhrProcess struct {
 	nbrKeys []uint64
 	nbrSeen []bool
 	joined  bool
-	w       wire.Writer
-	out     []*congest.Message
 }
 
 var _ congest.Process = (*bhrProcess)(nil)
@@ -92,25 +89,21 @@ func (p *bhrProcess) Init(info congest.NodeInfo) {
 	p.key = bhrKey(info.Rand, tie, info.Weight, p.bits)
 	p.nbrKeys = make([]uint64, info.Degree)
 	p.nbrSeen = make([]bool, info.Degree)
-	p.out = make([]*congest.Message, info.Degree)
 }
 
-func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *bhrProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if round == 1 {
-		p.w.Reset()
-		p.w.WriteBits(p.key, p.bits)
-		m := congest.NewPooledMessage(&p.w)
-		for i := range p.out {
-			p.out[i] = m
-		}
-		return p.out, false
+		w := out.Writer()
+		w.WriteBits(p.key, p.bits)
+		out.Broadcast(w)
+		return false
 	}
 	// Round 2: absorb the keys sent in round 1 and decide.
-	for port, m := range recv {
-		if m == nil {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok {
 			continue
 		}
-		r := m.Reader()
 		if r.Remaining() != p.bits {
 			continue // malformed frame (fault injection)
 		}
@@ -129,7 +122,7 @@ func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Messa
 			break
 		}
 	}
-	return nil, true
+	return true
 }
 
 func (p *bhrProcess) Output() any { return p.joined }

@@ -5,7 +5,6 @@ import (
 	"distmwis/internal/dist"
 	"distmwis/internal/graph"
 	"distmwis/internal/protocol"
-	"distmwis/internal/wire"
 )
 
 // GoodNodes implements Theorem 8: an O(MIS(n,Δ))-round CONGEST algorithm
@@ -58,21 +57,22 @@ type goodDetect struct {
 
 func (p *goodDetect) Init(info congest.NodeInfo) { p.info = info }
 
-func (p *goodDetect) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *goodDetect) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	switch round {
 	case 1:
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return broadcast(congest.NewPooledMessage(&w), p.info.Degree), false
+		out.Broadcast(w)
+		return false
 	default:
 		maxDeg := p.info.Degree
 		sumW := p.info.Weight
-		for _, m := range recv {
-			if m == nil {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok {
 				continue
 			}
-			r := m.Reader()
 			deg, e1 := r.ReadUint(uint64(p.info.NUpper))
 			nw, e2 := r.ReadInt(p.info.MaxWeight)
 			if e1 != nil || e2 != nil {
@@ -87,7 +87,7 @@ func (p *goodDetect) Round(round int, recv []*congest.Message) ([]*congest.Messa
 		}
 		// good ⇔ w(v) ≥ w(N⁺(v)) / (2(δ(v)+1)), in overflow-safe integers.
 		p.good = 2*int64(maxDeg+1)*p.info.Weight >= sumW
-		return nil, true
+		return true
 	}
 }
 

@@ -18,14 +18,15 @@ type ComponentStats struct {
 }
 
 // ComponentCache is the reuse seam of SolveByComponent. Lookup resolves a
-// component content hash to a previously computed member list (indices in
-// the component's own 0..k-1 numbering); Store records a fresh solve for
-// future reuse. Either function may be nil. Implementations must treat the
-// hash as authoritative: a hit must have been stored for a component with
-// the identical canonical form under the identical solve configuration.
+// component content hash and the NUpper the component was solved with to
+// a previously computed member list (indices in the component's own
+// 0..k-1 numbering); Store records a fresh solve for future reuse. Either
+// function may be nil. Implementations must treat (hash, nUpper) as
+// authoritative: a hit must have been stored for a component with the
+// identical canonical form under the identical solve configuration.
 type ComponentCache struct {
-	Lookup func(hash string) ([]int32, bool)
-	Store  func(hash string, set []int32, weight int64)
+	Lookup func(hash string, nUpper int) ([]int32, bool)
+	Store  func(hash string, nUpper int, set []int32, weight int64)
 }
 
 // SolveByComponent solves g component by component: each connected
@@ -46,6 +47,12 @@ type ComponentCache struct {
 //   - identifiers are unique within a graph, so two distinct components
 //     can never alias one content hash.
 //
+// Every component is solved with NUpper = max(cfg.NUpper, n): the nodes'
+// knowledge of the network size is the parent graph's, as in a whole-graph
+// solve. A small component of a large graph still carries the large
+// graph's identifiers and poly(n) weights, which a bandwidth sized by the
+// component alone could not carry. NUpper is part of the cache key.
+//
 // Note the decomposition is part of the answer's identity: per-component
 // node indices differ from whole-graph indices, so a component-wise solve
 // of a connected graph may legitimately differ from Solve on the same
@@ -56,6 +63,9 @@ func SolveByComponent(name string, g *graph.Graph, eps float64, alpha int, cfg C
 	comp, count := g.Components()
 	stats := ComponentStats{Components: count}
 	out := &Result{Set: make([]bool, n)}
+	if cfg.NUpper < n {
+		cfg.NUpper = n
+	}
 
 	keep := make([]bool, n)
 	for c := 0; c < count; c++ {
@@ -65,7 +75,7 @@ func SolveByComponent(name string, g *graph.Graph, eps float64, alpha int, cfg C
 		sub := g.Induce(keep)
 		hash := sub.G.HashString()
 		if cache.Lookup != nil {
-			if members, ok := cache.Lookup(hash); ok {
+			if members, ok := cache.Lookup(hash, cfg.NUpper); ok {
 				stats.Reused++
 				for _, i := range members {
 					if int(i) < 0 || int(i) >= len(sub.ToParent) {
@@ -90,7 +100,7 @@ func SolveByComponent(name string, g *graph.Graph, eps float64, alpha int, cfg C
 			}
 		}
 		if cache.Store != nil {
-			cache.Store(hash, members, res.Weight)
+			cache.Store(hash, cfg.NUpper, members, res.Weight)
 		}
 	}
 	out.Weight = g.SetWeight(out.Set)

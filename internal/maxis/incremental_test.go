@@ -1,9 +1,12 @@
 package maxis
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"distmwis/internal/graph"
+	"distmwis/internal/graph/gen"
 	"distmwis/internal/mis"
 )
 
@@ -22,6 +25,15 @@ func twoIslands(k, n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// mapCache is a ComponentCache over a map keyed by (hash, nUpper).
+func mapCache(m map[string][]int32) ComponentCache {
+	key := func(h string, n int) string { return fmt.Sprintf("%s|%d", h, n) }
+	return ComponentCache{
+		Lookup: func(h string, n int) ([]int32, bool) { s, ok := m[key(h, n)]; return s, ok },
+		Store:  func(h string, n int, set []int32, _ int64) { m[key(h, n)] = set },
+	}
+}
+
 func incCfg() Config {
 	return Config{Seed: 7, MIS: mis.Luby{}}
 }
@@ -31,10 +43,7 @@ func incCfg() Config {
 func TestSolveByComponentCacheHitBitIdentical(t *testing.T) {
 	g := twoIslands(6, 14)
 	cache := map[string][]int32{}
-	cc := ComponentCache{
-		Lookup: func(h string) ([]int32, bool) { s, ok := cache[h]; return s, ok },
-		Store:  func(h string, set []int32, _ int64) { cache[h] = set },
-	}
+	cc := mapCache(cache)
 	fresh, st, err := SolveByComponent("goodnodes", g, 0.5, 0, incCfg(), cc)
 	if err != nil {
 		t.Fatal(err)
@@ -62,10 +71,7 @@ func TestSolveByComponentCacheHitBitIdentical(t *testing.T) {
 func TestSolveByComponentPartialReuseAfterEdit(t *testing.T) {
 	g := twoIslands(6, 14)
 	cache := map[string][]int32{}
-	cc := ComponentCache{
-		Lookup: func(h string) ([]int32, bool) { s, ok := cache[h]; return s, ok },
-		Store:  func(h string, set []int32, _ int64) { cache[h] = set },
-	}
+	cc := mapCache(cache)
 	if _, _, err := SolveByComponent("goodnodes", g, 0.5, 0, incCfg(), cc); err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +108,56 @@ func TestSolveByComponentEmptyGraph(t *testing.T) {
 func TestSolveByComponentBadCacheEntry(t *testing.T) {
 	g := twoIslands(4, 8)
 	cc := ComponentCache{
-		Lookup: func(string) ([]int32, bool) { return []int32{99}, true },
+		Lookup: func(string, int) ([]int32, bool) { return []int32{99}, true },
 	}
 	if _, _, err := SolveByComponent("goodnodes", g, 0.5, 0, incCfg(), cc); err == nil {
 		t.Fatal("out-of-range cached member must error")
+	}
+}
+
+// poly2WithIsolatedEdge is a 2000-node G(n,p) with poly2 weights (up to
+// n² ≈ 22 bits) whose last two nodes form an isolated edge.
+func poly2WithIsolatedEdge() *graph.Graph {
+	const n = 2000
+	base := gen.Weighted(gen.GNP(n, 0.003, 11), gen.PolyWeights(2), 5)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n-2; v++ {
+		for _, u := range base.Neighbors(v) {
+			if int(u) > v && int(u) < n-2 {
+				b.AddEdge(v, int(u))
+			}
+		}
+		b.SetWeight(v, base.Weight(v))
+	}
+	b.AddEdge(n-2, n-1)
+	b.SetWeight(n-2, n*n)
+	b.SetWeight(n-1, n*n-1)
+	return b.MustBuild()
+}
+
+// A two-node component of a large graph carries the large graph's
+// weights. Solved with its own n as NUpper its bandwidth would be 8 bits,
+// too narrow for a 22-bit weight; the component solve must use the parent
+// graph's NUpper, and a cached answer must be keyed by it.
+func TestSolveByComponentSmallComponentKeepsParentBandwidth(t *testing.T) {
+	g := poly2WithIsolatedEdge()
+	cache := map[string][]int32{}
+	res, st, err := SolveByComponent("goodnodes", g, 0.5, 0, incCfg(), mapCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.IsIndependentSet(res.Set) {
+		t.Fatal("component-wise answer is not independent")
+	}
+	if res.Set[g.N()-2] == res.Set[g.N()-1] {
+		t.Error("the isolated edge did not contribute exactly one endpoint")
+	}
+	for key := range cache {
+		if !strings.HasSuffix(key, fmt.Sprintf("|%d", g.N())) {
+			t.Fatalf("component cached under %q, not under the parent NUpper %d", key, g.N())
+		}
+	}
+	if st.Solved != st.Components {
+		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"distmwis/internal/dist"
 	"distmwis/internal/graph"
 	"distmwis/internal/protocol"
-	"distmwis/internal/wire"
 )
 
 // DegeneracyEstimate is the result of the distributed peeling protocol.
@@ -110,12 +109,13 @@ func (p *peelProcess) Init(info congest.NodeInfo) {
 	p.alivePort.SetFirst(info.Degree)
 }
 
-func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
-	for port, m := range recv {
-		if m == nil || !p.alivePort.Get(port) {
+func (p *peelProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok || !p.alivePort.Get(port) {
 			continue
 		}
-		gone, _ := m.Reader().ReadBool()
+		gone, _ := r.ReadBool()
 		if gone {
 			p.alivePort.Unset(port)
 			p.aliveDeg--
@@ -123,14 +123,12 @@ func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	}
 	if !p.removed && p.aliveDeg <= p.threshold {
 		p.removed = true
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteBool(true)
-		out := make([]*congest.Message, p.info.Degree)
-		m := congest.NewPooledMessage(&w)
-		p.alivePort.ForEach(func(port int) { out[port] = m })
-		return out, true
+		out.BroadcastMasked(w, p.alivePort)
+		return true
 	}
-	return nil, round >= p.budget
+	return round >= p.budget
 }
 
 func (p *peelProcess) Output() any { return !p.removed }

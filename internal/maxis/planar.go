@@ -7,7 +7,6 @@ import (
 	"distmwis/internal/dist"
 	"distmwis/internal/graph"
 	"distmwis/internal/protocol"
-	"distmwis/internal/wire"
 )
 
 // planarDegreeCap is the low-degree threshold for PlanarConstantRound.
@@ -70,10 +69,11 @@ type degreeCapFlag struct {
 
 func (p *degreeCapFlag) Init(info congest.NodeInfo) { p.info = info }
 
-func (p *degreeCapFlag) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
-	var w wire.Writer
+func (p *degreeCapFlag) Round(_ int, _ congest.Inbox, out *congest.Outbox) bool {
+	w := out.Writer()
 	w.WriteBool(p.info.Degree <= p.cap)
-	return broadcast(congest.NewPooledMessage(&w), p.info.Degree), true
+	out.Broadcast(w)
+	return true
 }
 
 func (p *degreeCapFlag) Output() any { return p.info.Degree <= p.cap }

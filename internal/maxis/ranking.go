@@ -92,8 +92,6 @@ type rankingProcess struct {
 	nbrBits  []int
 	nbrSeen  []uint64 // fault mode: bitmask of chunks received per port
 	joined   bool
-	w        wire.Writer        // per-round scratch, reset before each use
-	out      []*congest.Message // reused broadcast slice
 }
 
 func (p *rankingProcess) Init(info congest.NodeInfo) {
@@ -111,7 +109,6 @@ func (p *rankingProcess) Init(info congest.NodeInfo) {
 	}
 	p.nbrRanks = make([]uint64, info.Degree)
 	p.nbrBits = make([]int, info.Degree)
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 // initChunkTags splits the bandwidth into tag + payload: the smallest tag
@@ -140,16 +137,16 @@ func (p *rankingProcess) initChunkTags() {
 	p.seqBits = 0
 }
 
-func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *rankingProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	// Absorb chunks sent in the previous round.
 	if round > 1 {
-		for port, m := range recv {
-			if m == nil {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok {
 				continue
 			}
-			r := m.Reader()
 			if p.info.Faulty {
-				p.absorbTagged(port, r)
+				p.absorbTagged(port, &r)
 				continue
 			}
 			nbits := r.Remaining()
@@ -164,16 +161,13 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 		if hi > p.bits {
 			hi = p.bits
 		}
-		p.w.Reset()
+		w := out.Writer()
 		if p.info.Faulty && p.seqBits > 0 {
-			p.w.WriteBits(uint64(round-1), p.seqBits)
+			w.WriteBits(uint64(round-1), p.seqBits)
 		}
-		p.w.WriteBits(p.rank>>uint(lo), hi-lo)
-		m := congest.NewPooledMessage(&p.w)
-		for i := range p.out {
-			p.out[i] = m
-		}
-		return p.out, false
+		w.WriteBits(p.rank>>uint(lo), hi-lo)
+		out.Broadcast(w)
+		return false
 	}
 	// round == rounds+1: all chunks received; decide.
 	p.joined = true
@@ -191,7 +185,7 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 			break
 		}
 	}
-	return nil, true
+	return true
 }
 
 // absorbTagged places one sequence-tagged chunk at its true offset,

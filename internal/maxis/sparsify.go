@@ -7,7 +7,6 @@ import (
 	"distmwis/internal/dist"
 	"distmwis/internal/graph"
 	"distmwis/internal/protocol"
-	"distmwis/internal/wire"
 )
 
 // Sparsified implements Theorem 9: a poly(log log n)-round CONGEST
@@ -112,21 +111,22 @@ func saturatingMul(a, b int64) int64 {
 	return a * b
 }
 
-func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *sparsifySample) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	switch round {
 	case 1:
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return broadcast(congest.NewPooledMessage(&w), p.info.Degree), false
+		out.Broadcast(w)
+		return false
 
 	case 2:
 		p.deltaV = p.info.Degree
-		for _, m := range recv {
-			if m == nil {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok {
 				continue
 			}
-			r := m.Reader()
 			deg, e1 := r.ReadUint(uint64(p.info.NUpper))
 			nw, e2 := r.ReadInt(p.info.MaxWeight)
 			if e1 != nil || e2 != nil {
@@ -137,17 +137,19 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 			}
 			p.wDeg += nw
 		}
-		var w wire.Writer
+		w := out.Writer()
 		w.WriteInt(p.wDeg, p.maxSumW)
-		return broadcast(congest.NewPooledMessage(&w), p.info.Degree), false
+		out.Broadcast(w)
+		return false
 
 	default: // round 3
 		wmax := p.wDeg
-		for _, m := range recv {
-			if m == nil {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok {
 				continue
 			}
-			nwd, err := m.Reader().ReadInt(p.maxSumW)
+			nwd, err := r.ReadInt(p.maxSumW)
 			if err != nil {
 				continue // garbled under faults: treat as missing
 			}
@@ -156,7 +158,7 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 			}
 		}
 		p.inH = p.draw(wmax)
-		return nil, true
+		return true
 	}
 }
 
@@ -182,14 +184,6 @@ func (p *sparsifySample) draw(wmax int64) bool {
 }
 
 func (p *sparsifySample) Output() any { return p.inH }
-
-func broadcast(m *congest.Message, deg int) []*congest.Message {
-	out := make([]*congest.Message, deg)
-	for i := range out {
-		out[i] = m
-	}
-	return out
-}
 
 // sparsifiedInner adapts Sparsified as a boosting black box. The constant
 // follows the Theorem 9 chain: H keeps a Θ(min{1, log n/Δ}) weight fraction

@@ -1,10 +1,6 @@
 package mis
 
-import (
-	"distmwis/internal/congest"
-	"distmwis/internal/graph"
-	"distmwis/internal/wire"
-)
+import "distmwis/internal/graph"
 
 // Checkpoint/Restore implement the reliable transport's Checkpointer
 // interface (internal/reliable) for every MIS process: a snapshot is a
@@ -18,10 +14,6 @@ import (
 func (p *lubyProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// Scratch (writer buffer, broadcast slice) is rebuilt on Restore, never
-	// shared: retaining it in the snapshot would alias live per-round state.
-	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -30,17 +22,11 @@ func (p *lubyProcess) Restore(state any) {
 	alive := append(graph.Bitset(nil), s.alive...)
 	*p = *s
 	p.alive = alive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }
 
 func (p *ghaffariProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// Scratch (writer buffer, broadcast slice) is rebuilt on Restore, never
-	// shared: retaining it in the snapshot would alias live per-round state.
-	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -49,17 +35,11 @@ func (p *ghaffariProcess) Restore(state any) {
 	alive := append(graph.Bitset(nil), s.alive...)
 	*p = *s
 	p.alive = alive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }
 
 func (p *rankProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// Scratch (writer buffer, broadcast slice) is rebuilt on Restore, never
-	// shared: retaining it in the snapshot would alias live per-round state.
-	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -68,8 +48,6 @@ func (p *rankProcess) Restore(state any) {
 	alive := append(graph.Bitset(nil), s.alive...)
 	*p = *s
 	p.alive = alive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }
 
 func (p *greedyIDProcess) Checkpoint() any {
@@ -77,8 +55,6 @@ func (p *greedyIDProcess) Checkpoint() any {
 	s.nbrID = append([]uint64(nil), p.nbrID...)
 	s.nbrKnown = append(graph.Bitset(nil), p.nbrKnown...)
 	s.nbrActive = append(graph.Bitset(nil), p.nbrActive...)
-	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -91,6 +67,4 @@ func (p *greedyIDProcess) Restore(state any) {
 	p.nbrID = nbrID
 	p.nbrKnown = nbrKnown
 	p.nbrActive = nbrActive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }

@@ -3,7 +3,6 @@ package mis
 import (
 	"distmwis/internal/congest"
 	"distmwis/internal/graph"
-	"distmwis/internal/wire"
 )
 
 // GreedyByID is the fully deterministic MIS protocol: after one round of
@@ -42,8 +41,6 @@ type greedyIDProcess struct {
 	nbrActive graph.Bitset
 	joined    bool
 	dominated bool
-	w         wire.Writer        // per-round scratch, reset before each use
-	out       []*congest.Message // reused broadcast slice
 }
 
 func (p *greedyIDProcess) Init(info congest.NodeInfo) {
@@ -52,7 +49,6 @@ func (p *greedyIDProcess) Init(info congest.NodeInfo) {
 	p.nbrKnown = graph.NewBitset(info.Degree)
 	p.nbrActive = graph.NewBitset(info.Degree)
 	p.nbrActive.SetFirst(info.Degree)
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 // Under faults every message carries a leading type bit (false = identifier
@@ -65,26 +61,23 @@ const (
 	frameStatus = true
 )
 
-func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *greedyIDProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if round == 1 {
 		// Identifier exchange.
-		p.w.Reset()
+		w := out.Writer()
 		if p.info.Faulty {
-			p.w.WriteBool(frameID)
+			w.WriteBool(frameID)
 		}
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		m := congest.NewPooledMessage(&p.w)
-		for i := range p.out {
-			p.out[i] = m
-		}
-		return p.out, false
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		out.Broadcast(w)
+		return false
 	}
 	if round == 2 {
-		for port, m := range recv {
-			if m == nil {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok {
 				continue
 			}
-			r := m.Reader()
 			if p.info.Faulty {
 				if kind, err := r.ReadBool(); err != nil || kind != frameID {
 					continue
@@ -98,11 +91,11 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			p.nbrKnown.Set(port)
 		}
 	} else {
-		for port, m := range recv {
-			if m == nil || !p.nbrActive.Get(port) {
+		for port := range in.Len() {
+			r, ok := in.Reader(port)
+			if !ok || !p.nbrActive.Get(port) {
 				continue
 			}
-			r := m.Reader()
 			if p.info.Faulty {
 				if kind, err := r.ReadBool(); err != nil || kind != frameStatus {
 					continue
@@ -144,21 +137,13 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			done = true
 		}
 	}
-	p.w.Reset()
+	w := out.Writer()
 	if p.info.Faulty {
-		p.w.WriteBool(frameStatus)
+		w.WriteBool(frameStatus)
 	}
-	p.w.WriteUint(status, 2)
-	m := congest.NewPooledMessage(&p.w)
-	out := p.out
-	for port := range out {
-		if p.nbrActive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out, done
+	w.WriteUint(status, 2)
+	out.BroadcastMasked(w, p.nbrActive)
+	return done
 }
 
 func (p *greedyIDProcess) Output() any { return p.joined }

@@ -138,8 +138,7 @@ func phaseName(round int) string {
 // next to an MIS member. A short payload in fault mode is a duplicated
 // one-bit join announcement whose bit was the joined flag itself, so
 // retirement then implies domination.
-func parseRetire(faulty bool, m *congest.Message) (retired, dominated bool) {
-	r := m.Reader()
+func parseRetire(faulty bool, r wire.Reader) (retired, dominated bool) {
 	retiring, err := r.ReadBool()
 	if err != nil || !retiring {
 		return false, false
@@ -151,15 +150,50 @@ func parseRetire(faulty bool, m *congest.Message) (retired, dominated bool) {
 	return true, joined || err != nil
 }
 
-// retireMsg builds the retirement announcement parseRetire expects, using
-// the caller's scratch writer and the simulator's message pool.
-func retireMsg(w *wire.Writer, faulty, retiring, joined bool) *congest.Message {
-	w.Reset()
+// sendRetire broadcasts the retirement announcement parseRetire expects to
+// the still-active ports.
+func sendRetire(out *congest.Outbox, alive graph.Bitset, faulty, retiring, joined bool) {
+	w := out.Writer()
 	w.WriteBool(retiring)
 	if faulty {
 		w.WriteBool(joined)
 	}
-	return congest.NewPooledMessage(w)
+	out.BroadcastMasked(w, alive)
+}
+
+// absorbRetirements applies the retirement announcements of the previous
+// iteration, received in a mark round, to the active-port set.
+func absorbRetirements(in congest.Inbox, faulty bool, alive graph.Bitset, aliveN *int, dominated *bool) {
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok || !alive.Get(port) {
+			continue
+		}
+		retired, dom := parseRetire(faulty, r)
+		if retired {
+			alive.Unset(port)
+			*aliveN--
+		}
+		if dom {
+			*dominated = true
+		}
+	}
+}
+
+// anyJoined reports whether an active neighbour announced joining in the
+// join round.
+func anyJoined(in congest.Inbox, alive graph.Bitset) bool {
+	joined := false
+	for port := range in.Len() {
+		r, ok := in.Reader(port)
+		if !ok || !alive.Get(port) {
+			continue
+		}
+		if nbrJoined, err := r.ReadBool(); err == nil && nbrJoined {
+			joined = true
+		}
+	}
+	return joined
 }
 
 // lubyProcess holds one node's Luby state.
@@ -174,12 +208,6 @@ type lubyProcess struct {
 	// scratch from phaseMark messages: which alive neighbours are marked and
 	// their (degree, id) priority.
 	loseToNeighbor bool
-	// w and out are per-round scratch, reused so the hot loop stops
-	// allocating: the simulator is done reading the previous round's out
-	// slice before the next Round call, and pooled messages are owned by
-	// the simulator the moment they are returned.
-	w   wire.Writer
-	out []*congest.Message
 }
 
 func (p *lubyProcess) Init(info congest.NodeInfo) {
@@ -187,7 +215,6 @@ func (p *lubyProcess) Init(info congest.NodeInfo) {
 	p.alive = graph.NewBitset(info.Degree)
 	p.alive.SetFirst(info.Degree)
 	p.aliveN = info.Degree
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 // beats reports whether (d1,id1) has priority over (d2,id2).
@@ -198,7 +225,7 @@ func beats(d1 int, id1 uint64, d2 int, id2 uint64) bool {
 	return id1 > id2
 }
 
-func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *lubyProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	// A round-number gap means the node was crashed and recovered: the
 	// per-iteration scratch is stale relative to the current phase. Rounds
 	// are consecutive in fault-free runs, so this never fires there.
@@ -211,7 +238,9 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	switch phaseOf(round) {
 	case phaseMark:
 		// Absorb retirement bits from the previous iteration.
-		p.absorbRetirements(round, recv)
+		if round > 1 {
+			absorbRetirements(in, p.info.Faulty, p.alive, &p.aliveN, &p.dominated)
+		}
 		p.marked = false
 		p.loseToNeighbor = false
 		switch {
@@ -223,26 +252,27 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		case p.info.Rand.Float64() < 1/(2*float64(p.aliveN)):
 			p.marked = true
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.marked)
-		p.w.WriteUint(uint64(p.aliveN), uint64(p.info.NUpper))
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		w := out.Writer()
+		w.WriteBool(p.marked)
+		w.WriteUint(uint64(p.aliveN), uint64(p.info.NUpper))
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		out.BroadcastMasked(w, p.alive)
+		return false
 
 	case phaseJoin:
 		if p.marked && !p.dominated {
 			// Joining is only safe on full information: a lost or garbled
 			// mark message could hide a higher-priority marked neighbour.
 			informed := true
-			for port, m := range recv {
+			for port := range in.Len() {
 				if !p.alive.Get(port) {
 					continue
 				}
-				if m == nil {
+				r, ok := in.Reader(port)
+				if !ok {
 					informed = false
 					continue
 				}
-				r := m.Reader()
 				nbrMarked, e1 := r.ReadBool()
 				nbrDeg, e2 := r.ReadUint(uint64(p.info.NUpper))
 				nbrID, e3 := r.ReadUint(p.info.MaxID)
@@ -258,54 +288,19 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 				p.joined = true
 			}
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.joined)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		w := out.Writer()
+		w.WriteBool(p.joined)
+		out.BroadcastMasked(w, p.alive)
+		return false
 
 	default: // phaseRetire
-		for port, m := range recv {
-			if m == nil || !p.alive.Get(port) {
-				continue
-			}
-			nbrJoined, err := m.Reader().ReadBool()
-			if err == nil && nbrJoined {
-				p.dominated = true
-			}
-		}
-		retiring := p.joined || p.dominated
-		return p.broadcastAlive(retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
-	}
-}
-
-func (p *lubyProcess) absorbRetirements(round int, recv []*congest.Message) {
-	if round == 1 {
-		return
-	}
-	for port, m := range recv {
-		if m == nil || !p.alive.Get(port) {
-			continue
-		}
-		retired, dominated := parseRetire(p.info.Faulty, m)
-		if retired {
-			p.alive.Unset(port)
-			p.aliveN--
-		}
-		if dominated {
+		if anyJoined(in, p.alive) {
 			p.dominated = true
 		}
+		retiring := p.joined || p.dominated
+		sendRetire(out, p.alive, p.info.Faulty, retiring, p.joined)
+		return retiring
 	}
-}
-
-func (p *lubyProcess) broadcastAlive(m *congest.Message) []*congest.Message {
-	out := p.out
-	for port := range out {
-		if p.alive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out
 }
 
 func (p *lubyProcess) Output() any { return p.joined }
@@ -348,8 +343,6 @@ type ghaffariProcess struct {
 	lastRound int
 	// maxExp caps the exponent so the wire field stays bounded.
 	maxExp int
-	w      wire.Writer
-	out    []*congest.Message
 }
 
 func (p *ghaffariProcess) Init(info congest.NodeInfo) {
@@ -357,12 +350,11 @@ func (p *ghaffariProcess) Init(info congest.NodeInfo) {
 	p.alive = graph.NewBitset(info.Degree)
 	p.alive.SetFirst(info.Degree)
 	p.aliveN = info.Degree
-	p.out = make([]*congest.Message, info.Degree)
 	p.pExp = 1
 	p.maxExp = 2 * wire.BitsFor(uint64(info.NUpper)) // p never below n^-2
 }
 
-func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *ghaffariProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if p.lastRound != 0 && round != p.lastRound+1 {
 		p.marked = false // stale across a crash window
 	}
@@ -370,17 +362,8 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 
 	switch phaseOf(round) {
 	case phaseMark:
-		for port, m := range recv { // retirements from previous iteration
-			if round > 1 && m != nil && p.alive.Get(port) {
-				retired, dominated := parseRetire(p.info.Faulty, m)
-				if retired {
-					p.alive.Unset(port)
-					p.aliveN--
-				}
-				if dominated {
-					p.dominated = true
-				}
-			}
+		if round > 1 { // retirements from previous iteration
+			absorbRetirements(in, p.info.Faulty, p.alive, &p.aliveN, &p.dominated)
 		}
 		p.marked = false
 		if p.dominated {
@@ -397,25 +380,26 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 				}
 			}
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.marked)
-		p.w.WriteUint(uint64(p.pExp), uint64(p.maxExp))
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		w := out.Writer()
+		w.WriteBool(p.marked)
+		w.WriteUint(uint64(p.pExp), uint64(p.maxExp))
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		out.BroadcastMasked(w, p.alive)
+		return false
 
 	case phaseJoin:
 		var effDeg float64
 		anyMarkedBeats := false
 		informed := true
-		for port, m := range recv {
+		for port := range in.Len() {
 			if !p.alive.Get(port) {
 				continue
 			}
-			if m == nil {
+			r, ok := in.Reader(port)
+			if !ok {
 				informed = false
 				continue
 			}
-			r := m.Reader()
 			nbrMarked, e1 := r.ReadBool()
 			nbrExp, e2 := r.ReadUint(uint64(p.maxExp))
 			nbrID, e3 := r.ReadUint(p.info.MaxID)
@@ -441,22 +425,18 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		} else if p.pExp > 1 {
 			p.pExp--
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.joined)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		w := out.Writer()
+		w.WriteBool(p.joined)
+		out.BroadcastMasked(w, p.alive)
+		return false
 
 	default: // phaseRetire
-		for port, m := range recv {
-			if m == nil || !p.alive.Get(port) {
-				continue
-			}
-			nbrJoined, err := m.Reader().ReadBool()
-			if err == nil && nbrJoined {
-				p.dominated = true
-			}
+		if anyJoined(in, p.alive) {
+			p.dominated = true
 		}
 		retiring := p.joined || p.dominated
-		return p.broadcastAlive(retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		sendRetire(out, p.alive, p.info.Faulty, retiring, p.joined)
+		return retiring
 	}
 }
 
@@ -466,18 +446,6 @@ func pow2neg(exp int) float64 {
 		v /= 2
 	}
 	return v
-}
-
-func (p *ghaffariProcess) broadcastAlive(m *congest.Message) []*congest.Message {
-	out := p.out
-	for port := range out {
-		if p.alive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out
 }
 
 func (p *ghaffariProcess) Output() any { return p.joined }
@@ -512,8 +480,6 @@ type rankProcess struct {
 	dominated bool
 	wins      bool
 	lastRound int
-	w         wire.Writer
-	out       []*congest.Message
 }
 
 func (p *rankProcess) Init(info congest.NodeInfo) {
@@ -521,12 +487,11 @@ func (p *rankProcess) Init(info congest.NodeInfo) {
 	p.alive = graph.NewBitset(info.Degree)
 	p.alive.SetFirst(info.Degree)
 	p.aliveN = info.Degree
-	p.out = make([]*congest.Message, info.Degree)
 	n := uint64(info.NUpper)
 	p.rankSpace = n * n // collisions broken by ID
 }
 
-func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *rankProcess) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if p.lastRound != 0 && round != p.lastRound+1 {
 		p.rank = 0 // stale across a crash window; 0 never wins a comparison
 		p.wins = false
@@ -535,37 +500,29 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 
 	switch phaseOf(round) {
 	case phaseMark:
-		for port, m := range recv {
-			if round > 1 && m != nil && p.alive.Get(port) {
-				retired, dominated := parseRetire(p.info.Faulty, m)
-				if retired {
-					p.alive.Unset(port)
-					p.aliveN--
-				}
-				if dominated {
-					p.dominated = true
-				}
-			}
+		if round > 1 {
+			absorbRetirements(in, p.info.Faulty, p.alive, &p.aliveN, &p.dominated)
 		}
 		p.rank = 1 + p.info.Rand.Uint64N(p.rankSpace)
-		p.w.Reset()
-		p.w.WriteUint(p.rank, p.rankSpace)
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		w := out.Writer()
+		w.WriteUint(p.rank, p.rankSpace)
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		out.BroadcastMasked(w, p.alive)
+		return false
 
 	case phaseJoin:
 		p.wins = true
-		for port, m := range recv {
+		for port := range in.Len() {
 			if !p.alive.Get(port) {
 				continue
 			}
-			if m == nil {
+			r, ok := in.Reader(port)
+			if !ok {
 				// A live neighbour's rank is unknown; winning cannot be
 				// certified this iteration.
 				p.wins = false
 				continue
 			}
-			r := m.Reader()
 			nbrRank, e1 := r.ReadUint(p.rankSpace)
 			nbrID, e2 := r.ReadUint(p.info.MaxID)
 			if e1 != nil || e2 != nil {
@@ -579,35 +536,19 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		if p.wins && !p.dominated {
 			p.joined = true
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.joined)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		w := out.Writer()
+		w.WriteBool(p.joined)
+		out.BroadcastMasked(w, p.alive)
+		return false
 
 	default: // phaseRetire
-		for port, m := range recv {
-			if m == nil || !p.alive.Get(port) {
-				continue
-			}
-			nbrJoined, err := m.Reader().ReadBool()
-			if err == nil && nbrJoined {
-				p.dominated = true
-			}
+		if anyJoined(in, p.alive) {
+			p.dominated = true
 		}
 		retiring := p.joined || p.dominated
-		return p.broadcastAlive(retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		sendRetire(out, p.alive, p.info.Faulty, retiring, p.joined)
+		return retiring
 	}
-}
-
-func (p *rankProcess) broadcastAlive(m *congest.Message) []*congest.Message {
-	out := p.out
-	for port := range out {
-		if p.alive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out
 }
 
 func (p *rankProcess) Output() any { return p.joined }

@@ -57,9 +57,9 @@ func (p *proc) recoverFromCheckpoint() {
 	}
 	*p.pcg = pcg
 	round := p.snapRound
-	for _, recv := range p.log {
+	for _, inputs := range p.log {
 		round++
-		p.inner.Round(round, recv)
+		p.runInner(round, inputs)
 	}
 	p.t.recoveries.Add(1)
 	p.t.replayedRounds.Add(int64(len(p.log)))

@@ -39,7 +39,6 @@
 package reliable
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -170,19 +169,26 @@ func (t *Transport) Counters() congest.ReliabilityCounters {
 
 var _ congest.Reliability = (*Transport)(nil)
 
-// outFrame is one unacknowledged logical-round message on a port.
+// outFrame is one unacknowledged logical-round message on a port. The
+// payload is the transport's own copy: the inner process's sends live in a
+// mailbox reused every logical round, and the frame may be retransmitted
+// many physical rounds later.
 type outFrame struct {
-	seq      int              // logical round the payload belongs to
-	m        *congest.Message // nil encodes "no message this round"
-	attempts int              // transmissions so far
-	nextSend int              // physical round the (re)transmission is due
+	seq      int         // logical round the payload belongs to
+	has      bool        // false encodes "no message this round"
+	payload  wire.Writer // copy of the inner message
+	attempts int         // transmissions so far
+	nextSend int         // physical round the (re)transmission is due
 }
 
-// inSlot buffers a received logical-round payload until the inner process
-// consumes it. Presence in the window map is what distinguishes a received
-// empty round from a missing one.
+// inSlot buffers a received logical-round payload, copied out of the
+// simulator's slab, until the inner process consumes it (and, with
+// checkpointing, in the receive log until the next snapshot). Presence in
+// the window map is what distinguishes a received empty round from a
+// missing one.
 type inSlot struct {
-	m *congest.Message
+	has     bool
+	payload wire.Writer
 }
 
 // portState is the per-edge ARQ state.
@@ -211,6 +217,8 @@ type proc struct {
 	lastPhys   int  // last physical round this endpoint stepped
 	quiesceAt  int  // physical round quiescence began (0 = not quiescent)
 	anno       string
+	// recv and send are the inner process's inbox and outbox.
+	recv, send *congest.Mailbox
 
 	// Checkpoint/restore state (nil cp = checkpointing off for this node).
 	cp        Checkpointer
@@ -218,7 +226,7 @@ type proc struct {
 	snap      any
 	snapPCG   []byte
 	snapRound int
-	log       [][]*congest.Message // inner inputs since the snapshot
+	log       [][]inSlot // inner inputs since the snapshot
 }
 
 // Init implements congest.Process. The inner process is told Faulty=false:
@@ -227,6 +235,8 @@ type proc struct {
 // included would be wasted.
 func (p *proc) Init(info congest.NodeInfo) {
 	p.info = info
+	p.recv = congest.NewMailbox(info.Index, info.Degree, 0)
+	p.send = congest.NewMailbox(info.Index, info.Degree, info.Bandwidth)
 	p.ports = make([]portState, info.Degree)
 	for i := range p.ports {
 		p.ports[i].finRound = -1
@@ -253,7 +263,7 @@ func (p *proc) Init(info congest.NodeInfo) {
 }
 
 // Round implements congest.Process: one physical round of the transport.
-func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *proc) Round(round int, in congest.Inbox, out *congest.Outbox) bool {
 	if p.cp != nil && round > p.lastPhys+1 && p.lastPhys > 0 {
 		// The simulator skipped us for one or more rounds: a crash-recovery
 		// fault. Simulate the full amnesia crash the checkpoint layer is
@@ -264,10 +274,10 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 	p.lastPhys = round
 
 	heard := false
-	for port, m := range recv {
-		if m != nil {
+	for port := range in.Len() {
+		if r, ok := in.Reader(port); ok {
 			heard = true
-			p.ingest(port, m, round)
+			p.ingest(port, r, round)
 		}
 	}
 	if heard {
@@ -287,12 +297,9 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 
 	p.detectFailures(round)
 
-	send := make([]*congest.Message, len(p.ports))
 	retransmitted := false
 	for port := range p.ports {
-		var wasRe bool
-		send[port], wasRe = p.buildFrame(port, round)
-		retransmitted = retransmitted || wasRe
+		retransmitted = p.sendFrame(out, port, round) || retransmitted
 	}
 
 	switch {
@@ -311,12 +318,12 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 			p.quiesceAt = round
 		}
 		if len(p.ports) == 0 || round-p.quiesceAt >= p.t.opts.Linger {
-			return send, true
+			return true
 		}
 	} else {
 		p.quiesceAt = 0
 	}
-	return send, false
+	return false
 }
 
 // Output implements congest.Process.
@@ -339,9 +346,8 @@ func (p *proc) innerPhase() string {
 
 // ingest decodes one arriving frame. Malformed frames (impossible while the
 // link-layer checksum holds) are ignored, which is the same as a loss.
-func (p *proc) ingest(port int, m *congest.Message, round int) {
+func (p *proc) ingest(port int, r wire.Reader, round int) {
 	ps := &p.ports[port]
-	r := m.Reader()
 	req, err := r.ReadBool()
 	if err != nil {
 		return
@@ -367,8 +373,7 @@ func (p *proc) ingest(port int, m *congest.Message, round int) {
 		return
 	}
 	var seq int
-	var payload *congest.Message
-	hasData := false
+	hasData, hasPayload := false, false
 	if data {
 		seq64, err := r.ReadBits(p.t.w)
 		if err != nil {
@@ -379,10 +384,7 @@ func (p *proc) ingest(port int, m *congest.Message, round int) {
 			return
 		}
 		seq = int(seq64)
-		hasData = true
-		if has {
-			payload = sliceRemaining(r)
-		}
+		hasData, hasPayload = true, has
 	}
 
 	// The frame decoded fully: commit its effects.
@@ -408,7 +410,11 @@ func (p *proc) ingest(port int, m *congest.Message, round int) {
 			return
 		}
 		if _, ok := ps.win[seq]; !ok {
-			ps.win[seq] = inSlot{m: payload}
+			slot := inSlot{has: hasPayload}
+			if hasPayload {
+				slot.payload.Append(r) // the bits behind the frame header
+			}
+			ps.win[seq] = slot
 			for {
 				if _, ok := ps.win[ps.cum+1]; !ok {
 					break
@@ -467,25 +473,29 @@ func (p *proc) blockedOn(ps *portState) bool {
 // outgoing messages (explicit nil markers included) as data frames.
 func (p *proc) advanceInner() {
 	next := p.logical + 1
-	recv := make([]*congest.Message, len(p.ports))
+	inputs := make([]inSlot, len(p.ports))
 	for i := range p.ports {
 		ps := &p.ports[i]
 		if ps.dead || (ps.finRound >= 0 && p.logical > ps.finRound) {
 			continue
 		}
 		if slot, ok := ps.win[p.logical]; ok {
-			recv[i] = slot.m
+			inputs[i] = slot
 			delete(ps.win, p.logical)
 		}
 	}
-	send, done := p.inner.Round(next, recv)
+	done := p.runInner(next, inputs)
+	if err := p.send.Outbox().Err(); err != nil {
+		panic("reliable: inner process: " + err.Error())
+	}
 	p.logical = next
 	if p.cp != nil {
-		p.log = append(p.log, recv)
+		p.log = append(p.log, inputs)
 		if p.logical%p.t.opts.CheckpointEvery == 0 {
 			p.takeSnapshot()
 		}
 	}
+	sent := p.send.Inbox()
 	for port := range p.ports {
 		ps := &p.ports[port]
 		if ps.dead || ps.finRound >= 0 {
@@ -494,19 +504,30 @@ func (p *proc) advanceInner() {
 			// one looks at), and a dead one never reads anything.
 			continue
 		}
-		var m *congest.Message
-		if port < len(send) {
-			m = send[port]
+		f := outFrame{seq: next}
+		if r, ok := sent.Reader(port); ok {
+			f.has = true
+			f.payload.Append(r)
 		}
-		if m != nil && p.info.Bandwidth > 0 && m.Bits() > p.info.Bandwidth {
-			panic(fmt.Sprintf("reliable: node %d port %d inner message of %d bits exceeds bandwidth %d", p.info.Index, port, m.Bits(), p.info.Bandwidth))
-		}
-		ps.out = append(ps.out, outFrame{seq: next, m: m, nextSend: 0})
+		ps.out = append(ps.out, f)
 	}
 	if done {
 		p.innerDone = true
 		p.finalRound = next
 	}
+}
+
+// runInner steps the inner process through one logical round with the
+// given inputs; its sends are left in p.send.
+func (p *proc) runInner(round int, inputs []inSlot) bool {
+	p.recv.Reset()
+	for i := range inputs {
+		if inputs[i].has {
+			p.recv.Put(i, inputs[i].payload.Reader())
+		}
+	}
+	p.send.Reset()
+	return p.inner.Round(round, p.recv.Inbox(), p.send.Outbox())
 }
 
 // waitingOn reports whether this node currently needs something from the
@@ -551,15 +572,15 @@ func (p *proc) detectFailures(round int) {
 	}
 }
 
-// buildFrame assembles the port's outgoing frame for this physical round:
-// the due data frame with the lowest sequence number if any, otherwise a
-// pure ACK when one is owed, otherwise a keep-alive poke when the node has
-// been waiting silently too long, otherwise nothing. Reports whether the
-// frame was a retransmission.
-func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
+// sendFrame sends the port's outgoing frame for this physical round: the
+// due data frame with the lowest sequence number if any, otherwise a pure
+// ACK when one is owed, otherwise a keep-alive poke when the node has been
+// waiting silently too long, otherwise nothing. Reports whether the frame
+// was a retransmission.
+func (p *proc) sendFrame(out *congest.Outbox, port, round int) bool {
 	ps := &p.ports[port]
 	if ps.dead {
-		return nil, false
+		return false
 	}
 	var of *outFrame
 	for i := range ps.out {
@@ -576,10 +597,10 @@ func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
 	// ~DeclareDeadAfter consecutive one-per-round exchanges all failed.
 	poke := p.waitingOn(ps) && ps.silence(round) >= p.t.opts.PokeEvery
 	if of == nil && !ps.ackDirty && !poke {
-		return nil, false
+		return false
 	}
 
-	var w wire.Writer
+	w := out.Writer()
 	w.WriteBool(of == nil && poke) // req: explicitly ask for a reply
 	w.WriteBits(uint64(ps.cum), p.t.w)
 	if p.innerDone {
@@ -592,11 +613,9 @@ func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
 	if of != nil {
 		w.WriteBool(true)
 		w.WriteBits(uint64(of.seq), p.t.w)
-		if of.m != nil {
-			w.WriteBool(true)
-			appendMessage(&w, of.m)
-		} else {
-			w.WriteBool(false)
+		w.WriteBool(of.has)
+		if of.has {
+			w.Append(of.payload.Reader())
 		}
 		if of.attempts > 0 {
 			retransmit = true
@@ -614,7 +633,8 @@ func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
 	}
 	ps.ackDirty = false
 	ps.lastSent = round
-	return congest.NewMessage(&w), retransmit
+	out.Send(port, w)
+	return retransmit
 }
 
 // quiesced reports whether this endpoint has nothing left to do: the inner
@@ -635,44 +655,4 @@ func (p *proc) quiesced() bool {
 		}
 	}
 	return true
-}
-
-// sliceRemaining copies the reader's unread bits into a fresh message — the
-// inner payload carried behind a frame header.
-func sliceRemaining(r *wire.Reader) *congest.Message {
-	var w wire.Writer
-	for {
-		rem := r.Remaining()
-		if rem == 0 {
-			break
-		}
-		if rem > 64 {
-			rem = 64
-		}
-		v, err := r.ReadBits(rem)
-		if err != nil {
-			break // unreachable: rem <= Remaining()
-		}
-		w.WriteBits(v, rem)
-	}
-	return congest.NewMessage(&w)
-}
-
-// appendMessage copies a payload's bits onto the end of a frame.
-func appendMessage(w *wire.Writer, m *congest.Message) {
-	r := m.Reader()
-	for {
-		rem := r.Remaining()
-		if rem == 0 {
-			return
-		}
-		if rem > 64 {
-			rem = 64
-		}
-		v, err := r.ReadBits(rem)
-		if err != nil {
-			return // unreachable: rem <= Remaining()
-		}
-		w.WriteBits(v, rem)
-	}
 }

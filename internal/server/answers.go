@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -144,20 +145,23 @@ func (s *Server) refCacheKey(g *graph.Graph, req *SolveRequest) string {
 
 // componentCache adapts the result cache to maxis.SolveByComponent for one
 // request fingerprint: per-component answers are ordinary cache entries,
-// keyed by component content hash + fingerprint and tagged with the
-// component hash so a mutation can invalidate exactly the components it
-// destroyed.
+// keyed by fingerprint + the NUpper the component was solved with +
+// component content hash, and tagged with the component hash so a mutation
+// can invalidate exactly the components it destroyed.
 func (s *Server) componentCache(fp string) maxis.ComponentCache {
+	key := func(hash string, nUpper int) string {
+		return "comp|" + fp + "|n=" + strconv.Itoa(nUpper) + "|" + hash
+	}
 	return maxis.ComponentCache{
-		Lookup: func(hash string) ([]int32, bool) {
-			e, ok := s.cache.get("comp|" + fp + "|" + hash)
+		Lookup: func(hash string, nUpper int) ([]int32, bool) {
+			e, ok := s.cache.get(key(hash, nUpper))
 			if !ok {
 				return nil, false
 			}
 			return e.set, true
 		},
-		Store: func(hash string, set []int32, weight int64) {
-			s.cache.put(&cacheEntry{key: "comp|" + fp + "|" + hash, set: set, weight: weight, tag: hash})
+		Store: func(hash string, nUpper int, set []int32, weight int64) {
+			s.cache.put(&cacheEntry{key: key(hash, nUpper), set: set, weight: weight, tag: hash})
 		},
 	}
 }

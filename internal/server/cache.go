@@ -105,8 +105,8 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 // budget holds. Entries larger than the whole budget are not stored.
 func (c *resultCache) put(e *cacheEntry) {
 	sz := e.bytes()
-	if c.budget > 0 && sz > c.budget {
-		return
+	if c.budget < 0 || (c.budget > 0 && sz > c.budget) {
+		return // disabled, or an entry the whole budget cannot hold
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -233,3 +233,31 @@ func TestSpecMemoBoundedFIFO(t *testing.T) {
 		}
 	}
 }
+
+// A negative budget disables the cache, as Options.CacheBytes documents:
+// nothing is stored, so nothing can be hit or has to be evicted.
+func TestCacheNegativeBudgetStoresNothing(t *testing.T) {
+	c := newResultCache(-1)
+	for i := 0; i < 8; i++ {
+		c.put(entryOf(fmt.Sprintf("k%03d", i), 10))
+	}
+	if _, ok := c.get("k007"); ok {
+		t.Fatal("a disabled cache answered a lookup")
+	}
+	_, _, evictions, _, _, used, entries := c.stats()
+	if entries != 0 || used != 0 || evictions != 0 {
+		t.Fatalf("entries=%d used=%d evictions=%d, want all 0", entries, used, evictions)
+	}
+
+	s, ts := newTestServer(t, Options{CacheBytes: -1})
+	req := SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 30}, Alg: "goodnodes", Seed: 2}
+	for i := 0; i < 2; i++ {
+		code, resp := postSolve(t, ts, req)
+		if code != 200 || resp.Status != "done" || resp.Cached {
+			t.Fatalf("solve %d: code %d, %+v", i, code, resp)
+		}
+	}
+	if _, _, _, _, _, _, entries := s.cache.stats(); entries != 0 {
+		t.Fatalf("server with CacheBytes -1 stored %d entries", entries)
+	}
+}

@@ -450,3 +450,38 @@ func readFile(t *testing.T, path string) []byte {
 	}
 	return data
 }
+
+// A graph_ref read of a large poly2 graph with a two-node component must
+// not fail the component's bandwidth: components are solved with the
+// parent graph's NUpper, so the 22-bit weights fit.
+func TestGraphRefSmallComponentOfLargeGraph(t *testing.T) {
+	const n = 2000
+	base := gen.Weighted(gen.GNP(n, 0.003, 11), gen.PolyWeights(2), 5)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n-2; v++ {
+		for _, u := range base.Neighbors(v) {
+			if int(u) > v && int(u) < n-2 {
+				b.AddEdge(v, int(u))
+			}
+		}
+		b.SetWeight(v, base.Weight(v))
+	}
+	b.AddEdge(n-2, n-1)
+	b.SetWeight(n-2, n*n)
+	b.SetWeight(n-1, n*n-1)
+	g := b.MustBuild()
+
+	_, ts := newTestServer(t, Options{Workers: 1})
+	put := putGraph(t, ts, g)
+	code, resp := postSolve(t, ts, SolveRequest{GraphRef: put.Hash, Alg: "goodnodes", Seed: 1})
+	if code != http.StatusOK || resp.Status != "done" || resp.Quality != "full" {
+		t.Fatalf("graph_ref solve: %d %+v", code, resp)
+	}
+	set := make([]bool, n)
+	for _, v := range resp.Set {
+		set[v] = true
+	}
+	if !g.IsIndependentSet(set) || g.SetWeight(set) != resp.Weight {
+		t.Fatalf("graph_ref answer is not an independent set of weight %d", resp.Weight)
+	}
+}

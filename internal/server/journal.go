@@ -90,10 +90,12 @@ func (s *Server) recoverJob(id string, req SolveRequest) error {
 	}
 	rec := s.jobs.create(id)
 	start := time.Now()
+	s.asyncJobs.Add(1)
 	go func() {
+		defer s.asyncJobs.Done()
 		resp := s.executeRecovered(&req, p, id, start)
-		rec.store(resp)
 		s.journalCommit(id)
+		rec.store(resp)
 	}()
 	return nil
 }

@@ -144,6 +144,9 @@ type Server struct {
 	jobs     *jobStore
 	jobSeq   atomic.Int64
 	shutdown atomic.Bool
+	// asyncJobs counts async job goroutines that have not yet stored and
+	// journal-committed their answer; Drain waits for them.
+	asyncJobs sync.WaitGroup
 
 	// The dynamic-graph subsystem: mutable graph handles (graphstore.go),
 	// the published-answer registry and the background repair tier that
@@ -253,7 +256,23 @@ func (s *Server) BeginShutdown() { s.shutdown.Store(true) }
 func (s *Server) Drain() error {
 	s.BeginShutdown()
 	s.repairTier.Stop()
-	return s.sched.drain(s.opts.DrainTimeout)
+	if err := s.sched.drain(s.opts.DrainTimeout); err != nil {
+		return err
+	}
+	// Every scheduled job has finished or been skipped, so the async
+	// goroutines only have their store and journal commit left: without
+	// this wait, Close could shut the journal under a pending commit.
+	committed := make(chan struct{})
+	go func() {
+		s.asyncJobs.Wait()
+		close(committed)
+	}()
+	select {
+	case <-committed:
+		return nil
+	case <-time.After(s.opts.DrainTimeout):
+		return fmt.Errorf("server: drain timed out waiting for async job commits")
+	}
 }
 
 // Close releases the journals (if open). Call after Drain; jobs completing
@@ -478,11 +497,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if req.DeadlineMS > 0 {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		}
+		s.asyncJobs.Add(1)
 		go func() {
+			defer s.asyncJobs.Done()
 			defer cancel()
 			resp := s.execute(ctx, &req, p, id, start, true)
-			rec.store(resp)
+			// Commit before publishing: whoever sees the job done may
+			// rely on the journal having retired it.
 			s.journalCommit(id)
+			rec.store(resp)
 		}()
 		writeJSON(w, http.StatusAccepted, SolveResponse{ID: id, Status: "queued", GraphHash: p.hash})
 		return

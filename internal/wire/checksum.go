@@ -16,9 +16,16 @@ const crc8Poly = 0x07
 // result is exact for bit-packed messages whose final byte is only
 // partially used. nbits must not exceed 8*len(data).
 func Checksum(data []byte, nbits int) uint8 {
+	r := NewReader(data, nbits)
+	return r.Checksum()
+}
+
+// Checksum computes the CRC-8 of Checksum over the reader's unread bits,
+// without consuming them.
+func (r Reader) Checksum() uint8 {
 	var crc uint8
-	for i := 0; i < nbits; i++ {
-		bit := (data[i>>3] >> uint(i&7)) & 1
+	for ; r.pos < r.end; r.pos++ {
+		bit := uint8(r.words[r.pos>>6]>>uint(r.pos&63)) & 1
 		crc ^= bit << 7
 		if crc&0x80 != 0 {
 			crc = crc<<1 ^ crc8Poly

@@ -52,7 +52,7 @@ func FuzzWriteReadMirror(f *testing.F) {
 		w.WriteUint(v, maxV)
 		w.WriteInt(s, maxAbs)
 		w.WriteBool(b)
-		r := NewReader(w.Bytes(), w.Len())
+		r := w.Reader()
 		gv, err := r.ReadUint(maxV)
 		if err != nil || gv != v {
 			t.Fatalf("uint: got %d err %v, want %d", gv, err, v)

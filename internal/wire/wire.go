@@ -7,9 +7,12 @@
 // bandwidth bound honestly (e.g. Section 5 of the paper ships (c log n)-bit
 // ranks over several rounds of B-bit chunks).
 //
-// Encoding is little-endian within bytes: the first bit written is the least
-// significant bit of the first byte. Readers must consume fields in exactly
-// the order and width they were written; there is no self-description.
+// Bits are packed little-endian into 64-bit words: the first bit written is
+// the least significant bit of the first word. Readers must consume fields
+// in exactly the order and width they were written; there is no
+// self-description. A Writer doubles as an append-only bit slab: the
+// simulator copies every round's payloads back to back into Writers it owns
+// and hands out Readers over bit ranges of their words.
 package wire
 
 import (
@@ -32,8 +35,9 @@ func BitsFor(maxValue uint64) int {
 }
 
 // Writer accumulates a bit-packed message. The zero value is ready to use.
+// Bits past Len in the backing words are always zero.
 type Writer struct {
-	buf   []byte
+	words []uint64
 	nbits int
 }
 
@@ -44,24 +48,22 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("wire: WriteBits width %d out of range [0,64]", n))
 	}
+	if n == 0 {
+		return
+	}
 	if n < 64 {
 		v &= (1 << uint(n)) - 1
 	}
-	for n > 0 {
-		byteIdx := w.nbits >> 3
-		bitIdx := w.nbits & 7
-		if byteIdx == len(w.buf) {
-			w.buf = append(w.buf, 0)
+	sh := uint(w.nbits & 63)
+	if sh == 0 {
+		w.words = append(w.words, v)
+	} else {
+		w.words[len(w.words)-1] |= v << sh
+		if int(sh)+n > 64 {
+			w.words = append(w.words, v>>(64-sh))
 		}
-		take := 8 - bitIdx
-		if take > n {
-			take = n
-		}
-		w.buf[byteIdx] |= byte(v) << uint(bitIdx)
-		v >>= uint(take)
-		w.nbits += take
-		n -= take
 	}
+	w.nbits += n
 }
 
 // WriteBool appends a single bit.
@@ -93,57 +95,95 @@ func (w *Writer) WriteInt(v, maxAbs int64) {
 	w.WriteBits(zz, BitsFor(2*uint64(maxAbs)))
 }
 
+// Append copies the unread bits of r onto the end of w, 64 at a time. It
+// does not consume r (r is a copy).
+func (w *Writer) Append(r Reader) {
+	for r.pos < r.end {
+		n := r.end - r.pos
+		if n > 64 {
+			n = 64
+		}
+		w.WriteBits(r.load(n), n)
+		r.pos += n
+	}
+}
+
+// FlipBit inverts bit i, 0 <= i < Len.
+func (w *Writer) FlipBit(i int) {
+	if i < 0 || i >= w.nbits {
+		panic(fmt.Sprintf("wire: FlipBit %d outside [0,%d)", i, w.nbits))
+	}
+	w.words[i>>6] ^= 1 << uint(i&63)
+}
+
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbits }
 
-// Bytes returns the packed buffer. The final byte may contain up to seven
-// padding zero bits; Len disambiguates.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Words returns the packed words backing the writer. They are valid until
+// the next write; bits past Len are zero.
+func (w *Writer) Words() []uint64 { return w.words }
+
+// Reader returns a reader over everything written so far.
+func (w *Writer) Reader() Reader { return Reader{words: w.words, end: w.nbits} }
 
 // Reset clears the writer for reuse without reallocating.
 func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
+	w.words = w.words[:0]
 	w.nbits = 0
 }
 
-// Reader consumes a bit-packed message produced by Writer.
+// Reader consumes a bit-packed message produced by Writer: bits [pos, end)
+// of a word slice. A Reader is a small value; copying it forks the cursor.
 type Reader struct {
-	buf   []byte
-	nbits int // total valid bits
-	pos   int
+	words    []uint64
+	pos, end int
 }
 
-// NewReader wraps a buffer holding nbits valid bits.
-func NewReader(buf []byte, nbits int) *Reader {
-	return &Reader{buf: buf, nbits: nbits}
+// NewReader wraps a byte buffer holding nbits valid bits (LSB-first within
+// each byte). It copies the buffer into words.
+func NewReader(buf []byte, nbits int) Reader {
+	words := make([]uint64, (len(buf)+7)>>3)
+	for i, b := range buf {
+		words[i>>3] |= uint64(b) << uint(8*(i&7))
+	}
+	return Reader{words: words, end: nbits}
+}
+
+// NewWordReader reads the nbits bits starting at bit off of words, without
+// copying them.
+func NewWordReader(words []uint64, off, nbits int) Reader {
+	return Reader{words: words, pos: off, end: off + nbits}
 }
 
 // Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.nbits - r.pos }
+func (r *Reader) Remaining() int { return r.end - r.pos }
+
+// load returns the n (1..64) bits at the cursor without advancing it.
+func (r *Reader) load(n int) uint64 {
+	i, sh := r.pos>>6, uint(r.pos&63)
+	v := r.words[i] >> sh
+	if int(sh)+n > 64 {
+		v |= r.words[i+1] << (64 - sh)
+	}
+	if n < 64 {
+		v &= (1 << uint(n)) - 1
+	}
+	return v
+}
 
 // ReadBits consumes n bits and returns them as the low bits of the result.
 func (r *Reader) ReadBits(n int) (uint64, error) {
 	if n < 0 || n > 64 {
 		return 0, fmt.Errorf("wire: ReadBits width %d out of range [0,64]", n)
 	}
-	if r.pos+n > r.nbits {
-		return 0, fmt.Errorf("%w: want %d bits, have %d", ErrShortBuffer, n, r.nbits-r.pos)
+	if r.pos+n > r.end {
+		return 0, fmt.Errorf("%w: want %d bits, have %d", ErrShortBuffer, n, r.end-r.pos)
 	}
-	var v uint64
-	shift := 0
-	for n > 0 {
-		byteIdx := r.pos >> 3
-		bitIdx := r.pos & 7
-		take := 8 - bitIdx
-		if take > n {
-			take = n
-		}
-		chunk := uint64(r.buf[byteIdx]>>uint(bitIdx)) & ((1 << uint(take)) - 1)
-		v |= chunk << uint(shift)
-		shift += take
-		r.pos += take
-		n -= take
+	if n == 0 {
+		return 0, nil
 	}
+	v := r.load(n)
+	r.pos += n
 	return v, nil
 }
 

@@ -42,7 +42,7 @@ func TestWriteReadBitsRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, want)
 	}
 
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	checks := []struct {
 		n    int
 		want uint64
@@ -66,7 +66,7 @@ func TestWriteReadBitsRoundTrip(t *testing.T) {
 func TestWriteBitsMasksHighBits(t *testing.T) {
 	var w Writer
 	w.WriteBits(0xFF, 3) // high bits must be masked, keeping only 0b111
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	got, err := r.ReadBits(3)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestWriteBitsMasksHighBits(t *testing.T) {
 func TestReadPastEnd(t *testing.T) {
 	var w Writer
 	w.WriteBits(1, 4)
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	if _, err := r.ReadBits(5); err == nil {
 		t.Error("expected ErrShortBuffer reading 5 of 4 bits")
 	}
@@ -91,7 +91,7 @@ func TestBoolRoundTrip(t *testing.T) {
 	for _, v := range vals {
 		w.WriteBool(v)
 	}
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	for i, want := range vals {
 		got, err := r.ReadBool()
 		if err != nil {
@@ -109,7 +109,7 @@ func TestUintRoundTrip(t *testing.T) {
 	for v := uint64(0); v <= maxV; v += 37 {
 		w.WriteUint(v, maxV)
 	}
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	for v := uint64(0); v <= maxV; v += 37 {
 		got, err := r.ReadUint(maxV)
 		if err != nil {
@@ -128,7 +128,7 @@ func TestIntRoundTrip(t *testing.T) {
 	for _, v := range vals {
 		w.WriteInt(v, maxAbs)
 	}
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	for i, want := range vals {
 		got, err := r.ReadInt(maxAbs)
 		if err != nil {
@@ -148,7 +148,7 @@ func TestWriterReset(t *testing.T) {
 		t.Fatalf("Len after Reset = %d, want 0", w.Len())
 	}
 	w.WriteBits(0x5, 3)
-	r := NewReader(w.Bytes(), w.Len())
+	r := w.Reader()
 	got, err := r.ReadBits(3)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		for _, v := range bools {
 			w.WriteBool(v)
 		}
-		r := NewReader(w.Bytes(), w.Len())
+		r := w.Reader()
 		for _, v := range uints {
 			got, err := r.ReadUint(math.MaxUint16)
 			if err != nil || got != uint64(v) {
@@ -224,5 +224,28 @@ func TestQuickBitWidthExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewReaderByteOrder pins the byte view of the word packing: bits are
+// LSB-first within each byte, bytes little-endian within each word.
+func TestNewReaderByteOrder(t *testing.T) {
+	r := NewReader([]byte{0x01, 0x80, 0, 0, 0, 0, 0, 0, 0xA5}, 72)
+	for _, want := range []struct {
+		n int
+		v uint64
+	}{{1, 1}, {14, 0}, {1, 1}, {48, 0}, {8, 0xA5}} {
+		if got, err := r.ReadBits(want.n); err != nil || got != want.v {
+			t.Fatalf("ReadBits(%d) = %#x, %v; want %#x", want.n, got, err, want.v)
+		}
+	}
+	var w Writer
+	w.WriteBits(0x1, 1)
+	w.WriteBits(0, 14)
+	w.WriteBits(0x1, 1)
+	w.WriteBits(0, 48)
+	w.WriteBits(0xA5, 8)
+	if Checksum([]byte{0x01, 0x80, 0, 0, 0, 0, 0, 0, 0xA5}, 72) != w.Reader().Checksum() {
+		t.Fatal("byte and word checksums of the same payload differ")
 	}
 }
