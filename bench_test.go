@@ -398,11 +398,17 @@ func BenchmarkRoundLoop10M(b *testing.B) {
 	b.ReportMetric(float64(g.M()), "edges")
 }
 
+// benchSolve serves one solve request through h and returns the decoded
+// response. The timer stops while the response is decoded, so the figure
+// is the server's alone: decoding a 10k-node set costs several times more
+// than serving it from the cache.
 func benchSolve(b *testing.B, h http.Handler, raw []byte) server.SolveResponse {
 	b.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(raw))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
+	b.StopTimer()
+	defer b.StartTimer()
 	if w.Code != http.StatusOK {
 		b.Fatalf("solve: code=%d body=%s", w.Code, w.Body.String())
 	}
@@ -457,6 +463,34 @@ func BenchmarkServeColdVsCacheHit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeInline is a cold solve of an inline graph through the full
+// request path: the request carries a 2500-node G(n,p) of average degree 4
+// with poly2 weights (an 86 KB document, the middle of the serving
+// benchmark's cold-inline sizes) and no_cache, so every iteration decodes
+// the document, builds and hashes the graph and runs theorem2.
+func BenchmarkServeInline(b *testing.B) {
+	s := server.New(server.Options{Workers: 1})
+	defer func() { _ = s.Drain() }()
+	h := s.Handler()
+	g := gen.Weighted(gen.GNP(2500, 4.0/2500, 1), gen.PolyWeights(2), 2)
+	raw, err := json.Marshal(server.SolveRequest{
+		Graph:   g.AppendJSON(nil),
+		Alg:     "theorem2",
+		Seed:    1,
+		NoCache: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := benchSolve(b, h, raw); resp.Cached {
+			b.Fatal("inline cold path unexpectedly served from cache")
+		}
+	}
 }
 
 // BenchmarkServeSchedulerDepth1 measures per-request serving overhead at

@@ -34,7 +34,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -179,12 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var stormSeq atomic.Int64
 	if *mutate > 0 {
 		g := gen.Weighted(gen.GNP(*n, *p, *seed), gen.PolyWeights(2), *seed)
-		var doc bytes.Buffer
-		if err := g.WriteJSON(&doc); err != nil {
-			fmt.Fprintf(stderr, "loadgen: encode seed graph: %v\n", err)
-			return 1
-		}
-		put, err := cl.PutGraph(context.Background(), doc.Bytes())
+		put, err := cl.PutGraph(context.Background(), g.AppendJSON(nil))
 		if err != nil {
 			fmt.Fprintf(stderr, "loadgen: PUT seed graph: %v\n", err)
 			return 1

@@ -29,6 +29,10 @@
 // tune the background tier that upgrades degraded answers. -chaos installs
 // the seeded fault injector of internal/chaos for soak testing.
 //
+// -max-nodes and -max-body-bytes bound what one request may ask for: an
+// inline or PUT graph of more nodes, or a solve, cluster solve or PUT body
+// of more bytes, is refused with 413 before it is allocated.
+//
 // -cluster turns the node into a sharded-serving front tier: POST
 // /v1/cluster/solve partitions the request's graph (internal/partition),
 // fans the parts out over the -backends fleet, reconciles cut-edge
@@ -103,6 +107,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		clusterMode  = fs.Bool("cluster", false, "front a backend fleet: fan solves out over -backends via POST /v1/cluster/solve")
 		backendsCSV  = fs.String("backends", "", "comma-separated backend base URLs for -cluster, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 		partitions   = fs.Int("partitions", 0, "parts per fanned-out cluster solve (0 = backend count)")
+		maxNodes     = fs.Int("max-nodes", server.DefaultMaxGraphNodes, "node bound on inline and PUT graphs; larger ones get 413")
+		maxBody      = fs.Int64("max-body-bytes", 64<<20, "request body bound on solve, cluster solve and graph PUT; longer ones get 413")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -125,6 +131,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	if *partitions < 0 {
 		fmt.Fprintln(stderr, "maxisd: -partitions must be non-negative")
+		return 1
+	}
+	if *maxNodes < 1 || *maxBody < 1 {
+		fmt.Fprintln(stderr, "maxisd: -max-nodes and -max-body-bytes must be positive")
 		return 1
 	}
 	var injector *chaos.Injector
@@ -154,6 +164,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		RepairBudget:            *repairBudget,
 		GraphJournalGroupWindow: *fsyncWindow,
 		GraphJournalGroupBatch:  *fsyncBatch,
+		MaxGraphNodes:           *maxNodes,
+		MaxBodyBytes:            *maxBody,
 	}
 	var coord *cluster.Coordinator
 	if *clusterMode {

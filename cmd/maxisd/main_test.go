@@ -248,6 +248,8 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"-workers", "0"},
 		{"-queue", "-1"},
 		{"-solve-workers", "0"},
+		{"-max-nodes", "0"},
+		{"-max-body-bytes", "-1"},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

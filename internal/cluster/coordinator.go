@@ -30,9 +30,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -347,10 +345,17 @@ type Response struct {
 	Floor bool `json:"floor,omitempty"`
 }
 
-// RequestError marks a caller mistake (HTTP 400).
-type RequestError struct{ msg string }
+// RequestError marks a caller mistake (HTTP 400, or 413 when it wraps a
+// graph over the node bound; see server.BadRequestStatus).
+type RequestError struct {
+	msg string
+	err error
+}
 
 func (e *RequestError) Error() string { return e.msg }
+
+// Unwrap returns the error the mistake was found by, if any.
+func (e *RequestError) Unwrap() error { return e.err }
 
 func badRequest(format string, args ...any) error {
 	return &RequestError{msg: fmt.Sprintf(format, args...)}
@@ -370,9 +375,9 @@ func (c *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (Resp
 	case req.Fault != nil:
 		return Response{}, badRequest("cluster solves do not support fault schedules: a schedule is defined against one graph's node count, not its partitions")
 	}
-	g, err := req.BuildGraph()
+	g, err := req.BuildGraphMax(server.GraphNodeBound(ctx))
 	if err != nil {
-		return Response{}, badRequest("graph: %v", err)
+		return Response{}, &RequestError{msg: "graph: " + err.Error(), err: err}
 	}
 	c.solves.Add(1)
 	id := fmt.Sprintf("cl-%d", c.idSeq.Add(1))
@@ -639,12 +644,8 @@ func (c *Coordinator) solvePart(ctx context.Context, req *server.SolveRequest, s
 	hash := sub.G.HashString()
 	report := PartReport{Part: idx, GraphHash: hash, N: sub.G.N(), M: sub.G.M()}
 
-	var doc bytes.Buffer
-	if err := sub.G.WriteJSON(&doc); err != nil {
-		return partOutcome{err: fmt.Errorf("encode part: %w", err)}
-	}
 	preq := server.SolveRequest{
-		Graph:           json.RawMessage(doc.Bytes()),
+		Graph:           sub.G.AppendJSON(nil),
 		Alg:             req.Alg,
 		Eps:             req.Eps,
 		Alpha:           req.Alpha,

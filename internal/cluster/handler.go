@@ -21,14 +21,14 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		var req server.SolveRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decode request: %v", err)
+			httpError(w, server.BadRequestStatus(err), "decode request: %v", err)
 			return
 		}
 		resp, err := c.Solve(r.Context(), &req)
 		if err != nil {
 			var reqErr *RequestError
 			if errors.As(err, &reqErr) {
-				httpError(w, http.StatusBadRequest, "%s", reqErr.msg)
+				httpError(w, server.BadRequestStatus(err), "%s", reqErr.msg)
 				return
 			}
 			httpError(w, http.StatusBadGateway, "%v", err)

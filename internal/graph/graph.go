@@ -41,16 +41,26 @@ type Builder struct {
 // NewBuilder creates a builder for a graph on n nodes with unit weights and
 // identifiers 1..n. Use SetWeight / SetID to override before Build.
 func NewBuilder(n int) *Builder {
-	b := &Builder{
-		n:       n,
-		weights: make([]int64, n),
-		ids:     make([]uint64, n),
-	}
-	for i := range b.weights {
-		b.weights[i] = 1
-		b.ids[i] = uint64(i + 1)
-	}
+	b := &Builder{n: n}
+	b.fillDefaults()
 	return b
+}
+
+// fillDefaults gives b identifiers 1..n if it has none, and unit weights if
+// it has none.
+func (b *Builder) fillDefaults() {
+	if len(b.ids) == 0 {
+		b.ids = make([]uint64, b.n)
+		for v := range b.ids {
+			b.ids[v] = uint64(v + 1)
+		}
+	}
+	if len(b.weights) == 0 {
+		b.weights = make([]int64, b.n)
+		for v := range b.weights {
+			b.weights[v] = 1
+		}
+	}
 }
 
 // AddEdge records the undirected edge {u, v}. Duplicate edges are

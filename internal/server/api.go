@@ -23,7 +23,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -73,8 +72,8 @@ type FaultSpec struct {
 // SolveRequest is the body of POST /v1/solve. Exactly one of Graph and Gen
 // must be set.
 type SolveRequest struct {
-	// Graph is an inline graph in the cmd/graphgen JSON format
-	// (graph.ReadJSON): {"n":..., "ids":[...], "weights":[...], "edges":[[u,v],...]}.
+	// Graph is an inline graph document (graph.DecodeJSON):
+	// {"n":..., "ids":[...], "weights":[...], "edges":[[u,v],...]}.
 	Graph json.RawMessage `json:"graph,omitempty"`
 	// Gen builds a generator graph server-side.
 	Gen *GenSpec `json:"gen,omitempty"`
@@ -227,15 +226,22 @@ func (r *SolveRequest) Normalize() error {
 	return nil
 }
 
-// BuildGraph materialises the request's graph. The generator vocabulary is
-// deliberately identical to cmd/maxis so loadgen mixes and CLI runs agree.
+// DefaultMaxGraphNodes is the default node bound on inline graphs
+// (Options.MaxGraphNodes, maxisd -max-nodes): the engine's 10M-node target.
+const DefaultMaxGraphNodes = 10_000_000
+
+// BuildGraph is BuildGraphMax with the default node bound.
 func (r *SolveRequest) BuildGraph() (*graph.Graph, error) {
+	return r.BuildGraphMax(DefaultMaxGraphNodes)
+}
+
+// BuildGraphMax materialises the request's graph. An inline graph of more
+// than maxNodes nodes fails with graph.ErrTooManyNodes before anything is
+// allocated. The generator vocabulary is deliberately identical to
+// cmd/maxis so loadgen mixes and CLI runs agree.
+func (r *SolveRequest) BuildGraphMax(maxNodes int) (*graph.Graph, error) {
 	if r.Graph != nil {
-		g, err := graph.ReadJSON(bytes.NewReader(r.Graph))
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
+		return graph.DecodeJSON(r.Graph, maxNodes)
 	}
 	s := *r.Gen
 	if s.Seed == 0 {

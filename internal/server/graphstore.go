@@ -1,9 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -98,7 +98,7 @@ func newGraphStore() *graphStore {
 // graphWALData is the payload of one graph-journal apply record.
 type graphWALData struct {
 	Kind string `json:"kind"` // "put" or "patch"
-	// Graph is the jsonDoc bytes of a put (or snapshot) record.
+	// Graph is the graph document of a put (or snapshot) record.
 	Graph json.RawMessage `json:"graph,omitempty"`
 	// Aliases restores prior hashes on snapshot records so stale client
 	// handles survive restarts.
@@ -195,7 +195,9 @@ func (s *Server) OpenGraphJournal(path string) (int, error) {
 		}
 		switch d.Kind {
 		case "put":
-			g, err := graph.ReadJSON(bytes.NewReader(d.Graph))
+			// No node bound: the record was admitted when it was written,
+			// and a lowered -max-nodes must not stop the boot.
+			g, err := graph.DecodeJSON(d.Graph, 0)
 			if err != nil {
 				wal.Close()
 				return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
@@ -245,13 +247,9 @@ func (s *Server) OpenGraphJournal(path string) (int, error) {
 }
 
 func putRecord(h *dynGraph) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := h.g.WriteJSON(&buf); err != nil {
-		return nil, fmt.Errorf("server: graph journal snapshot %s: %w", h.id, err)
-	}
 	return json.Marshal(graphWALData{
 		Kind:    "put",
-		Graph:   buf.Bytes(),
+		Graph:   h.g.AppendJSON(nil),
 		Aliases: h.aliases,
 		Version: h.version,
 	})
@@ -326,14 +324,15 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, PutGraphResponse{Error: "server is draining"})
 		return
 	}
-	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		writeJSON(w, http.StatusBadRequest, PutGraphResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	s.limitBody(w, r)
+	raw, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeJSON(w, BadRequestStatus(err), PutGraphResponse{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	g, err := graph.ReadJSON(bytes.NewReader(raw))
+	g, err := graph.DecodeJSON(raw, s.opts.MaxGraphNodes)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, PutGraphResponse{Error: err.Error()})
+		writeJSON(w, BadRequestStatus(err), PutGraphResponse{Error: err.Error()})
 		return
 	}
 	hash := g.HashString()
@@ -351,7 +350,7 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 	gs.seq++
 	id := fmt.Sprintf("g-%d", gs.seq)
 	if gs.wal != nil {
-		data, err := json.Marshal(graphWALData{Kind: "put", Graph: raw})
+		data, err := json.Marshal(graphWALData{Kind: "put", Graph: json.RawMessage(raw)})
 		if err == nil {
 			err = gs.wal.Apply(id, json.RawMessage(data))
 		}

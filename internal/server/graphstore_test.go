@@ -394,6 +394,44 @@ func TestGraphJournalRecoversUnackedPatch(t *testing.T) {
 	}
 }
 
+// A put record as an earlier release journaled it: that release stored the
+// PUT body verbatim, and its reflection decoder had accepted keys of any
+// case, keys it did not use, null numbers and edges of other lengths than
+// two. Such a record replays to the graph that release built.
+func TestGraphJournalReplaysLenientPutRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "graphs.wal")
+	wal, _, err := reliable.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := `{"name":"roads","N":4,"IDs":[10,11,12,13],"weights":[5,null,7,2],"edges":[[0,1],[1,2,0],[2,3],[3]]}`
+	putData, _ := json.Marshal(graphWALData{Kind: "put", Graph: json.RawMessage(doc)})
+	if err := wal.Apply("g-1", json.RawMessage(putData)); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	b := graph.NewBuilder(4)
+	for v, id := range []uint64{10, 11, 12, 13} {
+		b.SetID(v, id)
+	}
+	b.SetWeights([]int64{5, 0, 7, 2})
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 0)
+	want := b.MustBuild().HashString()
+
+	s := New(Options{Workers: 1})
+	if n, err := s.OpenGraphJournal(path); err != nil || n != 1 {
+		t.Fatalf("replay: n=%d err=%v", n, err)
+	}
+	t.Cleanup(func() { _ = s.Drain(); _ = s.Close() })
+	if _, hash, ok := s.graphs.snapshot(want); !ok || hash != want {
+		t.Fatalf("replayed graph %q, want %s", hash, want)
+	}
+}
+
 // PATCH error surface: unknown handles 404, malformed edits 400, and a
 // failed edit moves nothing.
 func TestPatchValidation(t *testing.T) {

@@ -79,12 +79,14 @@ func (s *Server) OpenJournal(path string) (int, error) {
 // recoverJob re-enqueues one journaled job under its original ID. The
 // original deadline (wall-clock of a dead process) is meaningless, so the
 // replay runs without one; shedding is disabled so the replay is a full
-// solve, exactly as accepted.
+// solve, exactly as accepted. The graph is decoded without a node bound:
+// the job was admitted when it was journaled, and a lowered -max-nodes
+// must not drop it.
 func (s *Server) recoverJob(id string, req SolveRequest) error {
 	if err := req.Normalize(); err != nil {
 		return err
 	}
-	p, err := s.prepare(&req)
+	p, err := s.prepare(&req, 0)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"distmwis/internal/chaos"
+	"distmwis/internal/graph/gen"
 	"distmwis/internal/reliable"
 )
 
@@ -232,6 +233,61 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalRecoversJobOverLoweredNodeBound: a journaled async job whose
+// inline graph exceeds the recovering server's MaxGraphNodes is still
+// replayed to the answer it was accepted for: the bound guards admission,
+// not recovery.
+func TestJournalRecoversJobOverLoweredNodeBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	g := gen.Weighted(gen.GNP(100, 0.06, 13), gen.PolyWeights(2), 13)
+	req := SolveRequest{Graph: g.AppendJSON(nil), Alg: "theorem2", Seed: 13, Async: true}
+	want, err := New(Options{Workers: 1}).prepareAndSolveForTest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, _, err := reliable.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Begin("job-1", &req); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close() // the crash: the job never committed
+
+	s, ts := newTestServer(t, Options{Workers: 1, MaxGraphNodes: 50})
+	recovered, err := s.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	if recovered != 1 {
+		t.Fatalf("recovered %d jobs, want 1", recovered)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		httpResp, err := http.Get(ts.URL + "/v1/jobs/job-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got SolveResponse
+		err = json.NewDecoder(httpResp.Body).Decode(&got)
+		httpResp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status == "done" {
+			if fmt.Sprint(got.Set) != fmt.Sprint(want.Set) || got.Weight != want.Weight {
+				t.Fatalf("replayed answer differs:\n got %+v\nwant %+v", got, want)
+			}
+			return
+		}
+		if (got.Status != "queued" && got.Status != "running") || time.Now().After(deadline) {
+			t.Fatalf("recovered job = %+v, want done", got)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // prepareAndSolveForTest runs a request synchronously through the full
 // pipeline, bypassing HTTP — the reference result for replay comparisons.
 func (s *Server) prepareAndSolveForTest(req SolveRequest) (SolveResponse, error) {
@@ -239,7 +295,7 @@ func (s *Server) prepareAndSolveForTest(req SolveRequest) (SolveResponse, error)
 		return SolveResponse{}, err
 	}
 	req.Async = false
-	p, err := s.prepare(&req)
+	p, err := s.prepare(&req, s.opts.MaxGraphNodes)
 	if err != nil {
 		return SolveResponse{}, err
 	}

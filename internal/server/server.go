@@ -89,6 +89,14 @@ type Options struct {
 	// behaviour).
 	GraphJournalGroupWindow time.Duration
 	GraphJournalGroupBatch  int
+	// MaxGraphNodes bounds the node count of an inline or PUT graph
+	// document; a larger one is refused with 413 before it is allocated
+	// (default DefaultMaxGraphNodes).
+	MaxGraphNodes int
+	// MaxBodyBytes bounds the request body of POST /v1/solve, POST
+	// /v1/cluster/solve and PUT /v1/graph; a longer one is refused with 413
+	// (default 64 MiB).
+	MaxBodyBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -127,6 +135,12 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AnswerHistory <= 0 {
 		o.AnswerHistory = 4096
+	}
+	if o.MaxGraphNodes <= 0 {
+		o.MaxGraphNodes = DefaultMaxGraphNodes
+	}
+	if o.MaxBodyBytes <= 0 {
+		o.MaxBodyBytes = 64 << 20
 	}
 	return o
 }
@@ -210,7 +224,10 @@ func (s *Server) Handler() http.Handler {
 		}
 	})
 	if s.opts.Cluster != nil {
-		mux.Handle("POST /v1/cluster/solve", s.opts.Cluster)
+		mux.Handle("POST /v1/cluster/solve", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			s.limitBody(w, r)
+			s.opts.Cluster.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), nodeBoundKey{}, s.opts.MaxGraphNodes)))
+		}))
 	}
 	if s.opts.Chaos != nil {
 		return s.opts.Chaos.Middleware(mux)
@@ -346,6 +363,37 @@ func errorResponse(w http.ResponseWriter, status int, format string, args ...any
 	writeJSON(w, status, SolveResponse{Status: "failed", Error: fmt.Sprintf(format, args...)})
 }
 
+// limitBody caps r's body at Options.MaxBodyBytes: reading past it fails
+// with an *http.MaxBytesError.
+func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+}
+
+// nodeBoundKey carries a server's MaxGraphNodes in the context of each
+// request it hands to Options.Cluster.
+type nodeBoundKey struct{}
+
+// GraphNodeBound returns the MaxGraphNodes of the server that handed over
+// the request ctx belongs to, or DefaultMaxGraphNodes outside one. It is how
+// a handler mounted as Options.Cluster bounds its graphs.
+func GraphNodeBound(ctx context.Context) int {
+	if n, ok := ctx.Value(nodeBoundKey{}).(int); ok {
+		return n
+	}
+	return DefaultMaxGraphNodes
+}
+
+// BadRequestStatus is the HTTP status of a request refused for err: 413
+// when err is a body past MaxBodyBytes or a graph past MaxGraphNodes, 400
+// otherwise.
+func BadRequestStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) || errors.Is(err, graph.ErrTooManyNodes) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // prepared is everything handleSolve derives from a normalized request
 // before executing it; recovery re-derives the identical values from the
 // journaled request, which is what makes replayed solves bit-identical.
@@ -357,9 +405,10 @@ type prepared struct {
 }
 
 // prepare materialises the graph, assembles the solve config and computes
-// the cache key for a normalized request.
-func (s *Server) prepare(req *SolveRequest) (prepared, error) {
-	g, err := req.BuildGraph()
+// the cache key for a normalized request. An inline graph of more than
+// maxNodes nodes is refused (graph.DecodeJSON; maxNodes <= 0: no bound).
+func (s *Server) prepare(req *SolveRequest, maxNodes int) (prepared, error) {
+	g, err := req.BuildGraphMax(maxNodes)
 	if err != nil {
 		return prepared{}, fmt.Errorf("graph: %w", err)
 	}
@@ -409,9 +458,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		errorResponse(w, http.StatusTooManyRequests, "rate limit exceeded")
 		return
 	}
+	s.limitBody(w, r)
 	var req SolveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorResponse(w, http.StatusBadRequest, "bad request body: %v", err)
+		errorResponse(w, BadRequestStatus(err), "bad request body: %v", err)
 		return
 	}
 	if err := req.Normalize(); err != nil {
@@ -446,9 +496,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	p, err := s.prepare(&req)
+	p, err := s.prepare(&req, s.opts.MaxGraphNodes)
 	if err != nil {
-		errorResponse(w, http.StatusBadRequest, "%v", err)
+		errorResponse(w, BadRequestStatus(err), "%v", err)
 		return
 	}
 	s.metrics.requests.Add(1)
